@@ -5,12 +5,15 @@
 // degenerate report fails the build instead of silently shipping a
 // useless artifact.
 //
-// With -baseline it additionally guards simulator throughput: every
-// (scheme, mix) row of the baseline report must still be present in the
-// fresh report, and no row's cycles_per_sec may fall more than
-// -max-regress (default 20%) below the baseline's. A hot-path change
-// that quietly slows the simulator fails the build with the offending
-// rows named.
+// With -baseline it additionally guards what was simulated and how fast:
+// the fresh report must use the baseline's budget and seed, every
+// (scheme, mix) row of the baseline report must still be present, its
+// cycles, instructions, fair_throughput and dod_mean must be exactly
+// the baseline's, and its cycles_per_sec may not fall more than
+// -max-regress (default 20%) below the baseline's. A "speedup" that
+// changes the model, or a hot-path change that quietly slows the
+// simulator, fails the build with the offending rows named. An
+// intended model change regenerates the baseline.
 //
 // With -load the argument is instead a report.LoadSummary produced by
 // cmd/simdload -json: the run must have completed without client
@@ -35,7 +38,7 @@ import (
 )
 
 func main() {
-	baseline := flag.String("baseline", "", "committed bench report to compare throughput against")
+	baseline := flag.String("baseline", "", "committed bench report to compare simulated results and throughput against")
 	maxRegress := flag.Float64("max-regress", 0.20, "max fractional cycles_per_sec drop vs -baseline before failing")
 	loadMode := flag.Bool("load", false, "treat the argument as a cmd/simdload summary instead of a bench report")
 	minRPS := flag.Float64("min-rps", 0, "with -load: minimum accepted throughput (0 = no floor)")
@@ -75,8 +78,8 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("checkbench: %s within %.0f%% of %s on every (scheme, mix) row\n",
-		path, *maxRegress*100, *baseline)
+	fmt.Printf("checkbench: %s simulates exactly %s and is within %.0f%% of its throughput on every (scheme, mix) row\n",
+		path, *baseline, *maxRegress*100)
 }
 
 // checkLoad gates a cmd/simdload summary: structurally sound, no
@@ -166,11 +169,16 @@ func validate(rep experiments.BenchReport) []string {
 }
 
 // compare checks fresh against base row by row, keyed on (scheme, mix):
-// every baseline row must still exist, and its cycles_per_sec must not
-// have dropped by more than maxRegress. Rows fresh adds beyond the
-// baseline pass silently (they have nothing to regress against), as do
-// throughput improvements.
+// both must use one budget and seed, and every baseline row must still
+// exist, simulate exactly the same cycles, instructions, FT and mean DoD,
+// and not have dropped cycles_per_sec by more than maxRegress. Rows fresh
+// adds beyond the baseline pass silently (they have nothing to regress
+// against), as do throughput improvements.
 func compare(base, fresh experiments.BenchReport, maxRegress float64) []string {
+	if base.Budget != fresh.Budget || base.Seed != fresh.Seed {
+		return []string{fmt.Sprintf("budget/seed %d/%d differ from the baseline's %d/%d; the rows are not comparable",
+			fresh.Budget, fresh.Seed, base.Budget, base.Seed)}
+	}
 	type key struct{ scheme, mix string }
 	got := make(map[key]experiments.BenchRow, len(fresh.Rows))
 	for _, r := range fresh.Rows {
@@ -182,6 +190,12 @@ func compare(base, fresh experiments.BenchReport, maxRegress float64) []string {
 		if !ok {
 			errs = append(errs, fmt.Sprintf("(%s, %s) present in baseline but missing from fresh report", b.Scheme, b.Mix))
 			continue
+		}
+		if r.Cycles != b.Cycles || r.Instructions != b.Instructions ||
+			r.FairThroughput != b.FairThroughput || r.DoDMean != b.DoDMean {
+			errs = append(errs, fmt.Sprintf("(%s, %s) simulated differently: cycles %d -> %d, instructions %d -> %d, fair_throughput %v -> %v, dod_mean %v -> %v",
+				b.Scheme, b.Mix, b.Cycles, r.Cycles, b.Instructions, r.Instructions,
+				b.FairThroughput, r.FairThroughput, b.DoDMean, r.DoDMean))
 		}
 		if b.CyclesPerSec <= 0 {
 			continue // degenerate baseline row; validate catches it on its own run

@@ -84,6 +84,36 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestCompareSimulatedOutputs: a fresh row that simulates anything
+// different from its baseline row fails, however fast it ran, and so
+// does a report run at another budget or seed.
+func TestCompareSimulatedOutputs(t *testing.T) {
+	base := mkReport(row("Baseline_32", "Mix 1", 1e6), row("RROB_16", "Mix 1", 2e6))
+	for name, mutate := range map[string]func(*experiments.BenchRow){
+		"cycles":          func(r *experiments.BenchRow) { r.Cycles++ },
+		"instructions":    func(r *experiments.BenchRow) { r.Instructions-- },
+		"fair_throughput": func(r *experiments.BenchRow) { r.FairThroughput += 1e-12 },
+		"dod_mean":        func(r *experiments.BenchRow) { r.DoDMean = 7.5 },
+	} {
+		fresh := mkReport(row("Baseline_32", "Mix 1", 5e6), row("RROB_16", "Mix 1", 2e6))
+		mutate(&fresh.Rows[0])
+		errs := compare(base, fresh, 0.20)
+		if len(errs) != 1 || !strings.Contains(errs[0], "Baseline_32") || !strings.Contains(errs[0], "simulated differently") {
+			t.Errorf("%s change: want one error naming the row, got %v", name, errs)
+		}
+	}
+	for name, mutate := range map[string]func(*experiments.BenchReport){
+		"budget": func(r *experiments.BenchReport) { r.Budget = 20_000 },
+		"seed":   func(r *experiments.BenchReport) { r.Seed = 2 },
+	} {
+		fresh := mkReport(base.Rows...)
+		mutate(&fresh)
+		if errs := compare(base, fresh, 0.20); len(errs) != 1 || !strings.Contains(errs[0], "not comparable") {
+			t.Errorf("%s mismatch: want one not-comparable error, got %v", name, errs)
+		}
+	}
+}
+
 func loadSum(n, ok, rejected, errs int, rps, p99 float64) report.LoadSummary {
 	return report.LoadSummary{Requests: n, OK: ok, Rejected: rejected, Errors: errs, Throughput: rps, P99Ms: p99}
 }

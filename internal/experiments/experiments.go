@@ -32,6 +32,10 @@ type Params struct {
 	// and progress events include them. Single-threaded reference runs
 	// are never instrumented (only their IPC is consumed).
 	Telemetry bool
+
+	// Refs, if non-nil, is a reference memo shared with other Runners;
+	// nil gives the Runner a private one.
+	Refs *RefMemo
 }
 
 // DefaultParams returns a laptop-scale sweep (the paper used 100M
@@ -151,10 +155,11 @@ type SchemeSeries struct {
 	Speedup float64 // vs the baseline series, filled by FTComparison
 }
 
-// Progress reports one completed unit of a sweep. Stage is "single" while
-// the single-threaded reference IPCs are computed and "mix" for the
-// multithreaded runs; Index is the unit's slot (0-based) and Total the
-// number of units in the stage. FairThroughput is filled for mix units.
+// Progress reports one completed unit of a sweep. Stage is "single" for
+// a single-threaded reference IPC the Runner simulated (references its
+// memo served report nothing) and "mix" for the multithreaded runs;
+// Index is the unit's slot (0-based) and Total the number of units in
+// the stage. FairThroughput is filled for mix units.
 type Progress struct {
 	Scheme         string
 	Stage          string // "single" | "mix"
@@ -169,9 +174,8 @@ type Progress struct {
 
 // Runner executes experiment sweeps with shared single-IPC references.
 type Runner struct {
-	params  Params
-	mu      sync.Mutex
-	singles map[string]float64
+	params Params
+	refs   *RefMemo
 
 	// OnProgress, if non-nil, is invoked from worker goroutines as each
 	// unit of a sweep completes. It must be safe for concurrent use.
@@ -180,7 +184,11 @@ type Runner struct {
 
 // NewRunner builds a runner.
 func NewRunner(p Params) *Runner {
-	return &Runner{params: p, singles: make(map[string]float64)}
+	refs := p.Refs
+	if refs == nil {
+		refs = NewRefMemo()
+	}
+	return &Runner{params: p, refs: refs}
 }
 
 func (r *Runner) progress(p Progress) {
@@ -201,47 +209,41 @@ func (r *Runner) SingleIPCs(ctx context.Context) (map[string]float64, error) {
 	return r.singleIPCsFor(ctx, "", names)
 }
 
-// singleIPCsFor computes (memoizing across calls) the reference IPCs of
-// the given benchmark set. scheme labels progress events only.
+// singleIPCsFor returns the reference IPCs of the given benchmark set
+// through the Runner's memo. A "single" progress event, labelled with
+// scheme, reports each reference this call simulated; Index is its slot
+// in the sorted set and Total the set's size.
 func (r *Runner) singleIPCsFor(ctx context.Context, scheme string, names map[string]bool) (map[string]float64, error) {
-	var todo []string
-	r.mu.Lock()
+	benches := make([]string, 0, len(names))
 	for b := range names {
-		if _, ok := r.singles[b]; !ok {
-			todo = append(todo, b)
-		}
+		benches = append(benches, b)
 	}
-	r.mu.Unlock()
-	sort.Strings(todo)
-	if len(todo) == 0 {
-		return r.copySingles(), nil
-	}
+	sort.Strings(benches)
+	ipcs := make([]float64, len(benches))
 	opt := tlrob.Options{Budget: r.params.Budget, Seed: r.params.Seed}
-	err := r.parallel(ctx, len(todo), func(i int) error {
-		res, err := tlrob.RunSingle(todo[i], opt)
+	err := r.parallel(ctx, len(benches), func(i int) error {
+		key := refKey{bench: benches[i], budget: opt.Budget, seed: opt.Seed}
+		ipc, ran, err := r.refs.reference(ctx, key, func() (float64, error) {
+			res, err := tlrob.RunSingle(benches[i], opt)
+			return res.IPC, err
+		})
 		if err != nil {
 			return err
 		}
-		r.mu.Lock()
-		r.singles[todo[i]] = res.IPC
-		r.mu.Unlock()
-		r.progress(Progress{Scheme: scheme, Stage: "single", Item: todo[i], Index: i, Total: len(todo)})
+		ipcs[i] = ipc
+		if ran {
+			r.progress(Progress{Scheme: scheme, Stage: "single", Item: benches[i], Index: i, Total: len(benches)})
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return r.copySingles(), nil
-}
-
-func (r *Runner) copySingles() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64, len(r.singles))
-	for k, v := range r.singles {
-		out[k] = v
+	out := make(map[string]float64, len(benches))
+	for i, b := range benches {
+		out[b] = ipcs[i]
 	}
-	return out
+	return out, nil
 }
 
 // parallel runs fn(0..n-1) across the worker pool. Every error is

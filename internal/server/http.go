@@ -174,7 +174,10 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 
 // handleCachePut stores a result pushed by a peer (replication after a
 // completed simulation) or by the coordinator (key handoff after a
-// membership change). The key is content-addressed, so a write is
+// membership change). The copy goes to disk only: this node serves it
+// only after a failover or handoff, and Store.Get promotes it into
+// memory on that first read, so the memory layer keeps to the results
+// this node serves. The key is content-addressed, so a write is
 // idempotent and a racing writer is harmless.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
@@ -191,7 +194,7 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("key %s: payload is not JSON", key[:12]))
 		return
 	}
-	if err := s.cfg.Store.Put(key, data); err != nil {
+	if err := s.cfg.Store.PutDisk(key, data); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("store %s: %w", key[:12], err))
 		return
 	}
@@ -252,6 +255,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"simd_cluster_peer_stored_total", "counter", st.PeerStored},
 		{"simd_cluster_replica_pushed_total", "counter", st.ReplicaPushed},
 		{"simd_cluster_replica_failed_total", "counter", st.ReplicaFailed},
+		{"simd_reference_runs_total", "counter", st.ReferenceRuns},
+		{"simd_reference_hits_total", "counter", st.ReferenceHits},
 	} {
 		fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", m.name, m.typ, m.name, m.value)
 	}

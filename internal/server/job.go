@@ -30,6 +30,9 @@ func (s Status) terminal() bool {
 // errClientGone cancels a job whose last waiting client disconnected.
 var errClientGone = errors.New("all waiting clients disconnected")
 
+// errJobEnded releases a job's context once it is terminal.
+var errJobEnded = errors.New("job ended")
+
 // Event is one line of a job's NDJSON progress stream.
 type Event struct {
 	Type           string  `json:"type"` // queued running single mix retry done failed canceled

@@ -199,6 +199,12 @@ type Stats struct {
 	ReplicaPushed uint64
 	ReplicaFailed uint64
 
+	// ReferenceRuns counts single-thread reference IPCs this process
+	// simulated; ReferenceHits counts the ones jobs took from the
+	// shared reference memo instead, waits on an in-flight run included.
+	ReferenceRuns uint64
+	ReferenceHits uint64
+
 	// StallCycles maps telemetry stall-cause names to thread-cycles
 	// charged, summed over every sweep this process ran; ActiveCycles is
 	// the matching dispatch-active total.
@@ -240,6 +246,10 @@ type Server struct {
 	stallCycles  [telemetry.NumCauses]atomic.Uint64
 	activeCycles atomic.Uint64
 
+	// refs memoizes single-thread reference IPCs across every job's
+	// Runner: they depend on (benchmark, budget, seed), never the scheme.
+	refs *experiments.RefMemo
+
 	// simulate is swapped by tests to fault-inject transient errors.
 	simulate func(ctx context.Context, j *Job) (report.Series, int64, error)
 	// beforeRun, if set (tests), blocks a worker at job start.
@@ -260,6 +270,7 @@ func New(cfg Config) (*Server, error) {
 		active:     make(map[string]*Job),
 		baseCtx:    ctx,
 		baseCancel: cancel,
+		refs:       experiments.NewRefMemo(),
 	}
 	s.simulate = s.runSweep
 	for w := 0; w < cfg.Workers; w++ {
@@ -430,7 +441,6 @@ func (s *Server) runJob(j *Job) {
 	defer cancel()
 
 	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	j.setStarted()
 	j.emit(Event{Type: "running", Total: len(j.mixes)})
 	if s.beforeRun != nil {
@@ -457,6 +467,9 @@ func (s *Server) runJob(j *Job) {
 		}
 		backoff *= 2
 	}
+	// Leave the in-flight count before finish closes Done, so a caller
+	// woken by Done never sees its own job still counted.
+	s.inflight.Add(-1)
 	s.simNanosSum.Add(uint64(time.Since(start).Nanoseconds()))
 	s.simTimedJobs.Add(1)
 
@@ -504,12 +517,16 @@ func cancelReason(ctx context.Context, err error) string {
 	return err.Error()
 }
 
+// unregister removes a terminal job from the singleflight table and
+// releases its context, which would otherwise stay registered under
+// the server's base context for the life of the process.
 func (s *Server) unregister(j *Job) {
 	s.mu.Lock()
 	if s.active[j.Key] == j {
 		delete(s.active, j.Key)
 	}
 	s.mu.Unlock()
+	j.cancel(errJobEnded)
 }
 
 // runSweep executes the job's sweep, streaming per-mix progress into the
@@ -520,6 +537,7 @@ func (s *Server) runSweep(ctx context.Context, j *Job) (report.Series, int64, er
 		Seed:      j.Spec.Seed,
 		Workers:   s.cfg.SimWorkers,
 		Telemetry: true,
+		Refs:      s.refs,
 	})
 	var completed atomic.Int64
 	r.OnProgress = func(p experiments.Progress) {
@@ -604,6 +622,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
+	refRuns, refHits := s.refs.Stats()
 	stalls := make(map[string]uint64, int(telemetry.NumCauses)-1)
 	for c := telemetry.Cause(1); c < telemetry.NumCauses; c++ {
 		stalls[c.String()] = s.stallCycles[c].Load()
@@ -629,6 +648,8 @@ func (s *Server) Stats() Stats {
 		PeerStored:     s.peerStored.Load(),
 		ReplicaPushed:  s.replicaPushed.Load(),
 		ReplicaFailed:  s.replicaFailed.Load(),
+		ReferenceRuns:  refRuns,
+		ReferenceHits:  refHits,
 		StallCycles:    stalls,
 		ActiveCycles:   s.activeCycles.Load(),
 	}

@@ -768,3 +768,165 @@ func TestSweepTelemetrySurfaces(t *testing.T) {
 		t.Fatalf("aggregated thread-cycles %d != 4 × %d run cycles", total+st.ActiveCycles, st.Cycles)
 	}
 }
+
+// singleEvents counts a finished job's "single" progress events.
+func singleEvents(j *Job) int {
+	n := 0
+	for _, ev := range (Snapshot{}).eventsForTest(j) {
+		if ev.Type == "single" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestJobsShareReferences: a second job at the same (budget, seed) runs
+// zero single-thread references and reports none, and /metrics shows
+// the sharing.
+func TestJobsShareReferences(t *testing.T) {
+	s := newTestServer(t, nil)
+	run := func(spec RunSpec) *Job {
+		t.Helper()
+		j, cached, err := s.Submit(context.Background(), spec, true)
+		if err != nil || cached != nil {
+			t.Fatalf("Submit: cached=%v err=%v", cached != nil, err)
+		}
+		waitDone(t, j)
+		if j.Status() != StatusDone {
+			t.Fatalf("status %s: %s", j.Status(), j.Snapshot().Error)
+		}
+		return j
+	}
+	first := run(tinySpec())
+	if n := singleEvents(first); n != 4 {
+		t.Fatalf("first job reported %d references, want 4", n)
+	}
+	spec := tinySpec()
+	spec.Scheme = "prob"
+	second := run(spec)
+	if n := singleEvents(second); n != 0 {
+		t.Fatalf("second job reported %d references, want 0", n)
+	}
+	st := s.Stats()
+	if st.ReferenceRuns != 4 || st.ReferenceHits != 4 || st.Simulations != 2 {
+		t.Fatalf("references runs=%d hits=%d, simulations=%d; want 4, 4, 2", st.ReferenceRuns, st.ReferenceHits, st.Simulations)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, want := range []string{"simd_reference_runs_total 4\n", "simd_reference_hits_total 4\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
+	}
+}
+
+// TestConcurrentJobsComputeReferencesOnce: jobs for different schemes
+// of one (mix, budget, seed) running at once compute each reference
+// exactly once between them.
+func TestConcurrentJobsComputeReferencesOnce(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.Workers = 4 })
+	var jobs []*Job
+	for _, scheme := range []string{"baseline32", "rrob", "cdr-rrob", "prob"} {
+		spec := tinySpec()
+		spec.Scheme = scheme
+		spec.Seed = 3
+		j, cached, err := s.Submit(context.Background(), spec, true)
+		if err != nil || cached != nil {
+			t.Fatalf("Submit %s: cached=%v err=%v", scheme, cached != nil, err)
+		}
+		jobs = append(jobs, j)
+	}
+	reported := 0
+	for _, j := range jobs {
+		waitDone(t, j)
+		if j.Status() != StatusDone {
+			t.Fatalf("status %s: %s", j.Status(), j.Snapshot().Error)
+		}
+		reported += singleEvents(j)
+	}
+	st := s.Stats()
+	if st.ReferenceRuns != 4 || st.ReferenceHits != 12 || reported != 4 {
+		t.Fatalf("references runs=%d hits=%d reported=%d; want 4, 12, 4", st.ReferenceRuns, st.ReferenceHits, reported)
+	}
+}
+
+// TestDoneJobReleasesContext: once a job is terminal and unregistered,
+// its context is cancelled, and its snapshot and result stay as they
+// were.
+func TestDoneJobReleasesContext(t *testing.T) {
+	s, err := New(testConfig(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _, err := s.Submit(context.Background(), tinySpec(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	snap := j.Snapshot()
+	result, ok := j.Result()
+	if !ok {
+		t.Fatalf("job ended %s", j.Status())
+	}
+	// Shutdown returns once the worker has left runJob, unregister included.
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.ctx.Err(); err == nil {
+		t.Fatal("a done job's context is still live")
+	}
+	if cause := context.Cause(j.ctx); cause != errJobEnded {
+		t.Fatalf("cause %v, want %v", cause, errJobEnded)
+	}
+	after := j.Snapshot()
+	if after.Status != StatusDone || after.Error != "" || !bytes.Equal(after.Result, snap.Result) ||
+		!after.EndedAt.Equal(*snap.EndedAt) {
+		t.Fatalf("snapshot changed: %+v -> %+v", snap, after)
+	}
+	if again, ok := j.Result(); !ok || !bytes.Equal(again, result) {
+		t.Fatal("result changed after the context was released")
+	}
+}
+
+// TestPeerPutIsDiskOnly: a peer's PUT makes the copy durable on disk
+// without filling the memory layer; the first read promotes it from
+// disk.
+func TestPeerPutIsDiskOnly(t *testing.T) {
+	s := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	key, err := SpecKey(tinySpec(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := `{"pushed":true}`
+	req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+key, strings.NewReader(payload))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("PUT -> %d", resp.StatusCode)
+	}
+	before := s.cfg.Store.Stats()
+	if before.Entries != 0 || before.DiskEntries != 1 {
+		t.Fatalf("after PUT: %d memory entries, %d on disk; want 0 and 1", before.Entries, before.DiskEntries)
+	}
+	data, ok := s.cfg.Store.Get(key)
+	if !ok || string(data) != payload {
+		t.Fatalf("Get after PUT: %q %v", data, ok)
+	}
+	after := s.cfg.Store.Stats()
+	if after.DiskHits != before.DiskHits+1 || after.Hits != before.Hits || after.Entries != 1 {
+		t.Fatalf("Get after PUT: disk hits %d -> %d, memory hits %d -> %d, entries %d",
+			before.DiskHits, after.DiskHits, before.Hits, after.Hits, after.Entries)
+	}
+}

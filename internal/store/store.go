@@ -250,7 +250,7 @@ func (s *Store) dropCorrupt(key string) {
 // <hash>.json behind.
 func (s *Store) Put(key string, data []byte) error {
 	s.memPut(key, data)
-	return s.writeDisk(key, data)
+	return s.PutDisk(key, data)
 }
 
 func (s *Store) memPut(key string, data []byte) {
@@ -280,7 +280,9 @@ func (s *Store) memPut(key string, data []byte) {
 	}
 }
 
-func (s *Store) writeDisk(key string, data []byte) error {
+// PutDisk stores data under key on disk only, leaving the memory layer
+// as it is. A later Get reads the copy from disk and promotes it.
+func (s *Store) PutDisk(key string, data []byte) error {
 	sum := sha256.Sum256(data)
 	env, err := json.Marshal(envelope{
 		Checksum: hex.EncodeToString(sum[:]),

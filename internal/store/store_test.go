@@ -192,7 +192,7 @@ func TestCorruptedDiskFileIsAMiss(t *testing.T) {
 			t.Fatalf("%s: corrupted file not removed", name)
 		}
 		// Restore for the next case.
-		if err := s.writeDisk(key, []byte(`{"v":1}`)); err != nil {
+		if err := s.PutDisk(key, []byte(`{"v":1}`)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,6 +36,10 @@ var magic = [8]byte{'T', 'L', 'R', 'O', 'B', 'T', 'R', '1'}
 
 const recordSize = 24
 
+// preallocCap bounds the records NewReader reserves from the header's
+// count before reading any.
+const preallocCap = 1 << 16
+
 // Writer streams trace records to an io.Writer.
 type Writer struct {
 	w     *bufio.Writer
@@ -107,10 +111,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if [8]byte(hdr[:8]) != magic {
 		return nil, fmt.Errorf("trace: bad magic %q", hdr[:8])
 	}
+	// The header's count is untrusted: a 16-byte file may claim 2^34
+	// records. Preallocate no more than preallocCap and let append grow
+	// the slice with the records actually read.
 	count := binary.LittleEndian.Uint64(hdr[8:])
 	rd := &Reader{targets: make(map[uint64]uint64)}
 	if count > 0 {
-		rd.insts = make([]isa.TraceInst, 0, count)
+		rd.insts = make([]isa.TraceInst, 0, min(count, preallocCap))
 	}
 	var rec [recordSize]byte
 	for {

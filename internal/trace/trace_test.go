@@ -156,3 +156,31 @@ func TestWriterRejectsInvalid(t *testing.T) {
 		t.Fatal("invalid record accepted")
 	}
 }
+
+// TestReaderLyingHeaderCount feeds headers whose record count far
+// exceeds the records present. Preallocating from the count used to
+// end the process with "fatal error: runtime: out of memory".
+func TestReaderLyingHeaderCount(t *testing.T) {
+	// "TLROBTR1" followed by a count of 2^34 records, and nothing else.
+	hdr := []byte{'T', 'L', 'R', 'O', 'B', 'T', 'R', '1', 0, 0, 0, 0, 4, 0, 0, 0}
+	if _, err := NewReader(bytes.NewReader(hdr)); err == nil {
+		t.Fatal("a header with no records accepted")
+	}
+
+	insts := sample(3)
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	for i := range insts {
+		w.Write(&insts[i])
+	}
+	w.Flush()
+	raw := buf.Bytes()
+	copy(raw[8:16], hdr[8:16])
+	r, err := NewReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != len(insts) {
+		t.Fatalf("read %d records, want %d", r.Len(), len(insts))
+	}
+}
