@@ -17,7 +17,7 @@
 // With -peers the node joins a fleet: a local cache miss first asks the
 // key's ring owners over GET /v1/cache/{key} before simulating, and a
 // completed simulation is replicated to the key's other ring owners
-// (-replicas total copies) so one node death loses no result. The
+// (-write-replicas total copies) so one node death loses no result. The
 // coordinator pushes membership updates to POST /v1/members, so the
 // worker's ring follows the fleet as it grows and shrinks.
 //
@@ -67,8 +67,8 @@ func main() {
 		selfURL       = flag.String("self-url", "", "this worker's advertised base URL within -peers (default http://<bound addr>)")
 		coordinator   = flag.Bool("coordinator", false, "run as the fleet coordinator instead of a worker")
 		vnodes        = flag.Int("vnodes", 64, "virtual nodes per ring member")
-		replicas      = flag.Int("replicas", 0, "coordinator: distinct nodes a submission may try (default 3); worker: total copies of each result across the fleet (default 2)")
-		writeReplicas = flag.Int("write-replicas", 2, "coordinator: copies each result should have across the fleet (handoff target placement)")
+		replicas      = flag.Int("replicas", 0, "coordinator: distinct nodes a submission may try across reroutes and hedges (default 3)")
+		writeReplicas = flag.Int("write-replicas", 2, "copies each result should have across the fleet: workers replicate completed results to that many ring owners, the coordinator's handoff restores that placement")
 		hedgeQ        = flag.Float64("hedge-quantile", 0.95, "latency percentile after which a backup request is hedged")
 		hedgeMin      = flag.Duration("hedge-min", 100*time.Millisecond, "hedge delay floor (also the cold-start delay)")
 		hedgeMax      = flag.Duration("hedge-max", 5*time.Second, "hedge delay ceiling")
@@ -170,7 +170,7 @@ func main() {
 			self = "http://" + bound
 		}
 		filler = cluster.NewPeerFiller(self, ring, 0, 0, nil)
-		replicator = cluster.NewReplicator(self, ring, *replicas, 0, nil)
+		replicator = cluster.NewReplicator(self, ring, *writeReplicas, 0, nil)
 		log.Printf("fleet member %s (%d peers, peer cache fill + replication on)", self, len(peerList))
 	}
 

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +14,7 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,12 +68,6 @@ type CoordinatorConfig struct {
 	HandoffConcurrency int
 	HandoffTimeout     time.Duration
 
-	// RouteTTL is how long a job-route entry survives after the job was
-	// observed terminal (default 2m); RouteMaxAge evicts entries never
-	// observed terminal — abandoned async submissions (default 1h).
-	RouteTTL    time.Duration
-	RouteMaxAge time.Duration
-
 	// MaxBudget mirrors the workers' largest accepted per-thread
 	// instruction budget so routing rejects what workers would (0 =
 	// worker default).
@@ -119,12 +116,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.HandoffTimeout <= 0 {
 		c.HandoffTimeout = 15 * time.Second
 	}
-	if c.RouteTTL <= 0 {
-		c.RouteTTL = 2 * time.Minute
-	}
-	if c.RouteMaxAge <= 0 {
-		c.RouteMaxAge = time.Hour
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -161,18 +152,6 @@ type Coordinator struct {
 	handoffWG      sync.WaitGroup
 	syncWG         sync.WaitGroup
 
-	// now is injectable so route-eviction tests can advance the clock.
-	now func() time.Time
-
-	// jobRoutes remembers which node owns a job ID so status, cancel
-	// and event-stream requests can be proxied after an async submit.
-	// Entries are evicted when the job is observed terminal (after
-	// RouteTTL), on DELETE, by the RouteMaxAge backstop, and by the
-	// maxJobRoutes FIFO cap.
-	routesMu  sync.Mutex
-	jobRoutes map[string]*routeEntry
-	routeFIFO []string
-
 	forwards, forwardErrors       atomic.Uint64
 	hedgesFired, hedgesWon        atomic.Uint64
 	reroutes, reroutes429         atomic.Uint64
@@ -180,21 +159,12 @@ type Coordinator struct {
 	nodeDeaths, nodeRevivals      atomic.Uint64
 	cacheHits, cacheMisses        atomic.Uint64 // as reported by worker responses
 	membersAdded, membersRemoved  atomic.Uint64
-	routeEvictions                atomic.Uint64
 	handoffRuns, handoffScanned   atomic.Uint64
 	handoffMoved, handoffSkipped  atomic.Uint64
 	handoffErrors                 atomic.Uint64
 	handoffActive                 atomic.Int64
 	memberSyncs, memberSyncErrors atomic.Uint64
 }
-
-type routeEntry struct {
-	node     string
-	seen     time.Time // last remember/lookup touch
-	terminal time.Time // zero until the job was observed terminal
-}
-
-const maxJobRoutes = 4096
 
 // NewCoordinator validates cfg, builds the ring and starts the health
 // prober. Callers must Close it.
@@ -219,8 +189,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		stopHealth:    make(chan struct{}),
 		handoffCtx:    hctx,
 		handoffCancel: hcancel,
-		now:           time.Now,
-		jobRoutes:     make(map[string]*routeEntry),
 	}
 	c.healthWG.Add(1)
 	go c.healthLoop()
@@ -260,7 +228,6 @@ func (c *Coordinator) healthLoop() {
 			return
 		case <-ticker.C:
 			c.probeAll()
-			c.sweepRoutes()
 		}
 	}
 }
@@ -511,104 +478,6 @@ func (c *Coordinator) tryNode(ctx context.Context, node, path string, body []byt
 	return forwardResult{node: node, status: resp.StatusCode, body: data, retryAfter: resp.Header.Get("Retry-After")}
 }
 
-// rememberRoute maps a job ID to the node that owns it. The FIFO cap is
-// only the backstop; the real lifecycle is terminal-status eviction
-// (markRouteTerminal + sweepRoutes) so sustained async traffic cannot
-// grow the map without bound.
-func (c *Coordinator) rememberRoute(id, node string) {
-	if id == "" {
-		return
-	}
-	c.routesMu.Lock()
-	if e, ok := c.jobRoutes[id]; ok {
-		// Duplicate submit for a tracked job: refresh node and touch
-		// time in place, keeping any terminal timestamp so the RouteTTL
-		// eviction clock doesn't restart.
-		e.node = node
-		e.seen = c.now()
-	} else {
-		c.routeFIFO = append(c.routeFIFO, id)
-		for len(c.routeFIFO) > maxJobRoutes {
-			if _, ok := c.jobRoutes[c.routeFIFO[0]]; ok {
-				delete(c.jobRoutes, c.routeFIFO[0])
-				c.routeEvictions.Add(1)
-			}
-			c.routeFIFO = c.routeFIFO[1:]
-		}
-		c.jobRoutes[id] = &routeEntry{node: node, seen: c.now()}
-	}
-	c.routesMu.Unlock()
-}
-
-func (c *Coordinator) routeFor(id string) (string, bool) {
-	c.routesMu.Lock()
-	defer c.routesMu.Unlock()
-	e, ok := c.jobRoutes[id]
-	if !ok {
-		return "", false
-	}
-	e.seen = c.now()
-	return e.node, true
-}
-
-// markRouteTerminal starts the route's eviction clock: the job was seen
-// in a terminal state, so after RouteTTL nobody should still be asking
-// the coordinator about it.
-func (c *Coordinator) markRouteTerminal(id string) {
-	c.routesMu.Lock()
-	if e, ok := c.jobRoutes[id]; ok && e.terminal.IsZero() {
-		e.terminal = c.now()
-	}
-	c.routesMu.Unlock()
-}
-
-// dropRoute evicts a job route immediately (a successful DELETE — the
-// job is gone on the worker too).
-func (c *Coordinator) dropRoute(id string) {
-	c.routesMu.Lock()
-	if _, ok := c.jobRoutes[id]; ok {
-		delete(c.jobRoutes, id)
-		c.routeEvictions.Add(1)
-	}
-	c.routesMu.Unlock()
-}
-
-// sweepRoutes evicts job routes that are past their terminal TTL or —
-// for jobs never observed terminal (abandoned async submissions) — past
-// the RouteMaxAge backstop. Runs on every health tick.
-func (c *Coordinator) sweepRoutes() {
-	now := c.now()
-	c.routesMu.Lock()
-	var evicted int
-	live := c.routeFIFO[:0]
-	for _, id := range c.routeFIFO {
-		e, ok := c.jobRoutes[id]
-		if !ok {
-			continue // already dropped (DELETE or FIFO cap)
-		}
-		expired := (!e.terminal.IsZero() && now.Sub(e.terminal) > c.cfg.RouteTTL) ||
-			now.Sub(e.seen) > c.cfg.RouteMaxAge
-		if expired {
-			delete(c.jobRoutes, id)
-			evicted++
-			continue
-		}
-		live = append(live, id)
-	}
-	c.routeFIFO = live
-	c.routesMu.Unlock()
-	if evicted > 0 {
-		c.routeEvictions.Add(uint64(evicted))
-	}
-}
-
-// RouteCount reports the current job-route map size (tests, /metrics).
-func (c *Coordinator) RouteCount() int {
-	c.routesMu.Lock()
-	defer c.routesMu.Unlock()
-	return len(c.jobRoutes)
-}
-
 // Stats is the coordinator's observable state.
 type Stats struct {
 	Nodes          int     `json:"nodes"`
@@ -634,8 +503,6 @@ type Stats struct {
 	HandoffSkipped uint64  `json:"handoff_keys_skipped"`
 	HandoffErrors  uint64  `json:"handoff_errors"`
 	HandoffActive  int64   `json:"handoff_active"`
-	JobRoutes      int     `json:"job_routes"`
-	RouteEvictions uint64  `json:"route_evictions"`
 	FairQueueDepth int     `json:"fairq_depth"`
 	HedgeDelayMs   float64 `json:"hedge_delay_ms"`
 	LatencyP50Ms   float64 `json:"latency_p50_ms"`
@@ -669,8 +536,6 @@ func (c *Coordinator) Stats() Stats {
 		HandoffSkipped: c.handoffSkipped.Load(),
 		HandoffErrors:  c.handoffErrors.Load(),
 		HandoffActive:  c.handoffActive.Load(),
-		JobRoutes:      c.RouteCount(),
-		RouteEvictions: c.routeEvictions.Load(),
 		FairQueueDepth: c.fairq.Depth(),
 		HedgeDelayMs:   float64(c.hedgeDelay()) / 1e6,
 		LatencyP50Ms:   float64(c.lat.Quantile(0.50)) / 1e6,
@@ -682,8 +547,8 @@ func (c *Coordinator) Stats() Stats {
 // Handler returns the coordinator's HTTP API:
 //
 //	POST   /v1/runs             shard + forward (hedged); ?wait=1 passthrough
-//	GET    /v1/runs/{id}        proxied to the owning node
-//	DELETE /v1/runs/{id}        proxied to the owning node
+//	GET    /v1/runs/{id}        proxied to the node named in the handle
+//	DELETE /v1/runs/{id}        proxied to the node named in the handle
 //	GET    /v1/runs/{id}/events proxied NDJSON stream
 //	GET    /v1/fleet            fleet-wide aggregation (nodes + coordinator)
 //	GET    /metrics             simd_cluster_* text metrics
@@ -699,7 +564,7 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/members", c.handleMembers)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "nodes_alive": c.ring.AliveCount()})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "nodes_alive": c.ring.AliveCount()})
 	})
 	return mux
 }
@@ -709,7 +574,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
 		return
 	}
 	tenant := r.Header.Get("X-Tenant")
@@ -721,12 +586,12 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Real refill time from the token bucket, not a hardcoded guess:
 		// clients backing off exactly this long succeed on the retry.
 		w.Header().Set("Retry-After", retryAfterSeconds(c.quotas.RetryAfter(tenant)))
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("tenant %q over quota", tenant))
+		server.WriteError(w, http.StatusTooManyRequests, fmt.Errorf("tenant %q over quota", tenant))
 		return
 	}
 	key, err := server.SpecKey(spec, c.cfg.MaxBudget)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := c.fairq.Acquire(r.Context(), tenant); err != nil {
@@ -736,7 +601,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	body, err := json.Marshal(spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	path := "/v1/runs"
@@ -752,29 +617,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if res.err != nil {
 		c.forwardErrors.Add(1)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("all replicas failed: %w", res.err))
+		server.WriteError(w, http.StatusBadGateway, fmt.Errorf("all replicas failed: %w", res.err))
 		return
 	}
+	var sub struct { // left empty when the reply is not JSON
+		ID    string `json:"id"`
+		Cache string `json:"cache"`
+	}
+	_ = json.Unmarshal(res.body, &sub)
 	if res.status >= 200 && res.status < 300 {
 		c.lat.Observe(time.Since(start))
-		var sub struct {
-			ID     string `json:"id"`
-			Cache  string `json:"cache"`
-			Status string `json:"status"`
-		}
-		if json.Unmarshal(res.body, &sub) == nil {
-			c.rememberRoute(sub.ID, res.node)
-			if terminalStatus(sub.Status) {
-				// wait=1 answers arrive already terminal: start the
-				// route's eviction clock right away.
-				c.markRouteTerminal(sub.ID)
-			}
-			switch sub.Cache {
-			case "hit":
-				c.cacheHits.Add(1)
-			case "miss":
-				c.cacheMisses.Add(1)
-			}
+		switch sub.Cache {
+		case "hit":
+			c.cacheHits.Add(1)
+		case "miss":
+			c.cacheMisses.Add(1)
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -791,47 +648,52 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Retry-After", ra)
 	}
+	if sub.ID != "" {
+		// A job reply: hand out a handle that names the answering node,
+		// so later job requests route without stored state. Re-encoding
+		// with the worker's own writer changes nothing but the id.
+		var reply server.SubmitResponse
+		if err := json.Unmarshal(res.body, &reply); err == nil {
+			reply.ID = jobHandle(res.node, reply.ID)
+			server.WriteJSON(w, res.status, reply)
+			return
+		}
+	}
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }
 
-// statusPeek passes an upstream body through unchanged while keeping a
-// bounded prefix; onEOF fires once with that prefix when the client has
-// drained the whole response. A half-read body (client went away) never
-// fires — it proves nothing about the job's status.
-type statusPeek struct {
-	body  io.ReadCloser
-	limit int
-	buf   bytes.Buffer
-	onEOF func(prefix []byte)
-	fired bool
+// nodeTagLen is the length of a node tag: hex digits of a hash of the
+// node's base URL.
+const nodeTagLen = 8
+
+// nodeTag names a node inside job handles.
+func nodeTag(node string) string {
+	sum := sha256.Sum256([]byte(node))
+	return hex.EncodeToString(sum[:nodeTagLen/2])
 }
 
-func (p *statusPeek) Read(b []byte) (int, error) {
-	n, err := p.body.Read(b)
-	if n > 0 && p.buf.Len() < p.limit {
-		keep := n
-		if room := p.limit - p.buf.Len(); keep > room {
-			keep = room
+// jobHandle is the job ID the coordinator hands out for a worker's job:
+// "<node tag>-<worker job id>".
+func jobHandle(node, workerID string) string {
+	return nodeTag(node) + "-" + workerID
+}
+
+// resolveHandle maps a job handle back to its node and the worker's own
+// job ID. Dead members still resolve, so their jobs answer 502 rather
+// than 404. A worker job ID never contains '/', and refusing one keeps
+// the proxied path inside /v1/runs/.
+func (c *Coordinator) resolveHandle(handle string) (node, workerID string, ok bool) {
+	if len(handle) <= nodeTagLen+1 || handle[nodeTagLen] != '-' || strings.Contains(handle, "/") {
+		return "", "", false
+	}
+	tag := handle[:nodeTagLen]
+	for _, n := range c.ring.Nodes() {
+		if nodeTag(n) == tag {
+			return n, handle[nodeTagLen+1:], true
 		}
-		p.buf.Write(b[:keep])
 	}
-	if err == io.EOF && !p.fired {
-		p.fired = true
-		p.onEOF(p.buf.Bytes())
-	}
-	return n, err
-}
-
-func (p *statusPeek) Close() error { return p.body.Close() }
-
-// terminalStatus mirrors server.Status.terminal over the wire form.
-func terminalStatus(s string) bool {
-	switch server.Status(s) {
-	case server.StatusDone, server.StatusFailed, server.StatusCanceled:
-		return true
-	}
-	return false
+	return "", "", false
 }
 
 // retryAfterSeconds renders a wait as a whole-second Retry-After value,
@@ -849,74 +711,51 @@ func retryAfterSeconds(d time.Duration) string {
 // it through ApplyMemberChange (rebalancing + worker sync included).
 func (c *Coordinator) handleMembers(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
-		writeJSON(w, http.StatusOK, MembersReply{Members: c.ring.Nodes()})
+		server.WriteJSON(w, http.StatusOK, MembersReply{Members: c.ring.Nodes()})
 		return
 	}
 	var ch MemberChange
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&ch); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode member change: %w", err))
+		server.WriteError(w, http.StatusBadRequest, fmt.Errorf("decode member change: %w", err))
 		return
 	}
 	reply, err := c.ApplyMemberChange(ch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		server.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, reply)
+	server.WriteJSON(w, http.StatusOK, reply)
 }
 
-// handleProxyJob forwards job-scoped requests to the node that owns
-// the job ID, and retires the route once the job is over: a successful
-// DELETE drops it immediately, a status poll that shows a terminal
-// state starts the RouteTTL clock.
+// handleProxyJob forwards job-scoped requests to the node named in the
+// job handle, under the worker's own job ID. Bodies stream through
+// untouched; whether the job exists is the worker's answer.
 func (c *Coordinator) handleProxyJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	node, ok := c.routeFor(id)
+	handle := r.PathValue("id")
+	node, workerID, ok := c.resolveHandle(handle)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q (submitted elsewhere or evicted)", id))
+		server.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q (not a handle for any member)", handle))
 		return
 	}
 	target, err := url.Parse(node)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		server.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
-	isEvents := r.Method == http.MethodGet && len(r.URL.Path) > len("/events") &&
-		r.URL.Path[len(r.URL.Path)-len("/events"):] == "/events"
+	path := "/v1/runs/" + workerID
+	if strings.HasSuffix(r.URL.Path, "/events") {
+		path += "/events"
+	}
 	proxy := &httputil.ReverseProxy{
 		Director: func(req *http.Request) {
 			req.URL.Scheme = target.Scheme
 			req.URL.Host = target.Host
+			req.URL.Path, req.URL.RawPath = path, ""
 			req.Host = target.Host
 		},
 		FlushInterval: 100 * time.Millisecond, // NDJSON event streams
-		ModifyResponse: func(resp *http.Response) error {
-			if resp.StatusCode < 200 || resp.StatusCode >= 300 {
-				return nil
-			}
-			switch {
-			case r.Method == http.MethodDelete:
-				c.dropRoute(id)
-			case r.Method == http.MethodGet && !isEvents:
-				// Peek at the status without disturbing the stream the
-				// client sees: the full body (results can be multi-MB)
-				// streams through untouched, Content-Length stays
-				// truthful, and only a bounded prefix is kept for the
-				// parse. A body that outgrows the prefix fails the JSON
-				// parse and the RouteMaxAge sweep evicts the route.
-				resp.Body = &statusPeek{body: resp.Body, limit: 1 << 20, onEOF: func(prefix []byte) {
-					var job struct {
-						Status string `json:"status"`
-					}
-					if json.Unmarshal(prefix, &job) == nil && terminalStatus(job.Status) {
-						c.markRouteTerminal(id)
-					}
-				}}
-			}
-			return nil
-		},
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
-			writeError(w, http.StatusBadGateway, fmt.Errorf("node %s: %w", node, err))
+			server.WriteError(w, http.StatusBadGateway, fmt.Errorf("node %s: %w", node, err))
 		},
 	}
 	proxy.ServeHTTP(w, r)
@@ -1005,49 +844,41 @@ func (c *Coordinator) nodeStats(ctx context.Context, node string) (*server.Stats
 }
 
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.FleetStatus(r.Context()))
+	server.WriteJSON(w, http.StatusOK, c.FleetStatus(r.Context()))
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := c.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	for _, m := range []struct {
-		name, typ string
-		value     any
-	}{
-		{"simd_cluster_nodes", "gauge", st.Nodes},
-		{"simd_cluster_nodes_alive", "gauge", st.NodesAlive},
-		{"simd_cluster_forwards_total", "counter", st.Forwards},
-		{"simd_cluster_forward_errors_total", "counter", st.ForwardErrors},
-		{"simd_cluster_hedges_fired_total", "counter", st.HedgesFired},
-		{"simd_cluster_hedges_won_total", "counter", st.HedgesWon},
-		{"simd_cluster_reroutes_total", "counter", st.Reroutes},
-		{"simd_cluster_reroutes_429_total", "counter", st.Reroutes429},
-		{"simd_cluster_quota_rejected_total", "counter", st.QuotaRejected},
-		{"simd_cluster_node_deaths_total", "counter", st.NodeDeaths},
-		{"simd_cluster_node_revivals_total", "counter", st.NodeRevivals},
-		{"simd_cluster_cache_hits_total", "counter", st.CacheHits},
-		{"simd_cluster_cache_misses_total", "counter", st.CacheMisses},
-		{"simd_cluster_members_added_total", "counter", st.MembersAdded},
-		{"simd_cluster_members_removed_total", "counter", st.MembersRemoved},
-		{"simd_cluster_member_syncs_total", "counter", st.MemberSyncs},
-		{"simd_cluster_member_sync_errors_total", "counter", st.MemberSyncErrs},
-		{"simd_cluster_handoff_runs_total", "counter", st.HandoffRuns},
-		{"simd_cluster_handoff_keys_scanned_total", "counter", st.HandoffScanned},
-		{"simd_cluster_handoff_keys_moved_total", "counter", st.HandoffMoved},
-		{"simd_cluster_handoff_keys_skipped_total", "counter", st.HandoffSkipped},
-		{"simd_cluster_handoff_errors_total", "counter", st.HandoffErrors},
-		{"simd_cluster_handoff_active", "gauge", st.HandoffActive},
-		{"simd_cluster_job_routes", "gauge", st.JobRoutes},
-		{"simd_cluster_route_evictions_total", "counter", st.RouteEvictions},
-		{"simd_cluster_fairq_depth", "gauge", st.FairQueueDepth},
-		{"simd_cluster_hedge_delay_ms", "gauge", st.HedgeDelayMs},
-		{"simd_cluster_latency_p50_ms", "gauge", st.LatencyP50Ms},
-		{"simd_cluster_latency_p95_ms", "gauge", st.LatencyP95Ms},
-		{"simd_cluster_latency_p99_ms", "gauge", st.LatencyP99Ms},
-	} {
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", m.name, m.typ, m.name, m.value)
-	}
+	server.WriteMetrics(w,
+		server.Gauge("simd_cluster_nodes", st.Nodes),
+		server.Gauge("simd_cluster_nodes_alive", st.NodesAlive),
+		server.Counter("simd_cluster_forwards_total", st.Forwards),
+		server.Counter("simd_cluster_forward_errors_total", st.ForwardErrors),
+		server.Counter("simd_cluster_hedges_fired_total", st.HedgesFired),
+		server.Counter("simd_cluster_hedges_won_total", st.HedgesWon),
+		server.Counter("simd_cluster_reroutes_total", st.Reroutes),
+		server.Counter("simd_cluster_reroutes_429_total", st.Reroutes429),
+		server.Counter("simd_cluster_quota_rejected_total", st.QuotaRejected),
+		server.Counter("simd_cluster_node_deaths_total", st.NodeDeaths),
+		server.Counter("simd_cluster_node_revivals_total", st.NodeRevivals),
+		server.Counter("simd_cluster_cache_hits_total", st.CacheHits),
+		server.Counter("simd_cluster_cache_misses_total", st.CacheMisses),
+		server.Counter("simd_cluster_members_added_total", st.MembersAdded),
+		server.Counter("simd_cluster_members_removed_total", st.MembersRemoved),
+		server.Counter("simd_cluster_member_syncs_total", st.MemberSyncs),
+		server.Counter("simd_cluster_member_sync_errors_total", st.MemberSyncErrs),
+		server.Counter("simd_cluster_handoff_runs_total", st.HandoffRuns),
+		server.Counter("simd_cluster_handoff_keys_scanned_total", st.HandoffScanned),
+		server.Counter("simd_cluster_handoff_keys_moved_total", st.HandoffMoved),
+		server.Counter("simd_cluster_handoff_keys_skipped_total", st.HandoffSkipped),
+		server.Counter("simd_cluster_handoff_errors_total", st.HandoffErrors),
+		server.Gauge("simd_cluster_handoff_active", st.HandoffActive),
+		server.Gauge("simd_cluster_fairq_depth", st.FairQueueDepth),
+		server.Gauge("simd_cluster_hedge_delay_ms", st.HedgeDelayMs),
+		server.Gauge("simd_cluster_latency_p50_ms", st.LatencyP50Ms),
+		server.Gauge("simd_cluster_latency_p95_ms", st.LatencyP95Ms),
+		server.Gauge("simd_cluster_latency_p99_ms", st.LatencyP99Ms),
+	)
 	nodes, shares := c.ring.Ownership(4096)
 	fmt.Fprint(w, "# TYPE simd_cluster_ownership gauge\n")
 	for i, node := range nodes {
@@ -1099,16 +930,4 @@ func (l *latencyTracker) Quantile(q float64) time.Duration {
 		idx = n - 1
 	}
 	return snap[idx]
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
 }

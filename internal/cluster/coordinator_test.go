@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -620,102 +619,6 @@ func TestProxyJobRoutes(t *testing.T) {
 	}
 }
 
-// TestJobRouteEviction pins the route-map lifecycle that used to leak:
-// a status poll that sees a terminal job starts the RouteTTL clock, the
-// sweep then shrinks the map, a DELETE evicts immediately, and the
-// RouteMaxAge backstop clears entries never observed terminal.
-func TestJobRouteEviction(t *testing.T) {
-	_, c := startFleet(t, 2, nil)
-	// An injectable clock so the test can jump past the TTLs.
-	base := time.Now()
-	offset := time.Duration(0)
-	var clockMu sync.Mutex
-	c.now = func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return base.Add(offset)
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		offset += d
-		clockMu.Unlock()
-	}
-
-	submitAsync := func(seed uint64) string {
-		t.Helper()
-		body, _ := json.Marshal(testSpec(seed))
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
-		if rec.Code != http.StatusAccepted {
-			t.Fatalf("async submit -> %d: %s", rec.Code, rec.Body.String())
-		}
-		var sub struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || sub.ID == "" {
-			t.Fatalf("no job id in %s", rec.Body.String())
-		}
-		return sub.ID
-	}
-	get := func(id string) int {
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id, nil))
-		return rec.Code
-	}
-
-	// Terminal-status eviction: poll until done, jump past RouteTTL,
-	// sweep — the map shrinks and later polls 404.
-	id := submitAsync(41)
-	if c.RouteCount() != 1 {
-		t.Fatalf("route count %d after submit", c.RouteCount())
-	}
-	waitFor(t, "proxied job to finish", func() bool {
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id, nil))
-		var snap struct {
-			Status string `json:"status"`
-		}
-		return rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &snap) == nil && snap.Status == "done"
-	})
-	// Inside the TTL the route survives sweeps: polling clients keep
-	// working right after completion.
-	c.sweepRoutes()
-	if c.RouteCount() != 1 {
-		t.Fatal("terminal route evicted before its TTL")
-	}
-	advance(c.cfg.RouteTTL + time.Second)
-	c.sweepRoutes()
-	if c.RouteCount() != 0 {
-		t.Fatalf("route count %d after TTL sweep", c.RouteCount())
-	}
-	if code := get(id); code != http.StatusNotFound {
-		t.Fatalf("evicted job GET -> %d, want 404", code)
-	}
-	if st := c.Stats(); st.RouteEvictions < 1 {
-		t.Fatalf("eviction not counted: %+v", st)
-	}
-
-	// DELETE evicts immediately — no TTL wait.
-	id = submitAsync(42)
-	waitFor(t, "cancel to land", func() bool {
-		rec := httptest.NewRecorder()
-		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/runs/"+id, nil))
-		return rec.Code == http.StatusOK
-	})
-	if c.RouteCount() != 0 {
-		t.Fatalf("route count %d after DELETE", c.RouteCount())
-	}
-
-	// MaxAge backstop: an entry never observed terminal (abandoned async
-	// submission) still ages out.
-	c.rememberRoute("abandoned-job", "http://nowhere:1")
-	advance(c.cfg.RouteMaxAge + time.Second)
-	c.sweepRoutes()
-	if c.RouteCount() != 0 {
-		t.Fatalf("route count %d after MaxAge sweep", c.RouteCount())
-	}
-}
-
 // TestRetryAfterComputedNotHardcoded pins both 429 paths: the quota
 // rejection derives Retry-After from the token bucket's refill time,
 // and a reroute-exhausted rejection replays the worker's own estimate
@@ -782,25 +685,17 @@ func TestRetryAfterComputedNotHardcoded(t *testing.T) {
 	}
 }
 
-// TestProxyStatusPeekDoesNotTruncateLargeBodies pins the fix for the
-// proxy's terminal-status peek: a status response bigger than the 1MB
-// peek prefix must reach the client complete and byte-identical (the
-// old buffer-and-replace cut it off mid-body while Content-Length still
-// advertised the full size), and a too-big prefix must not be
-// misparsed as a status. Small terminal responses still start the
-// route's eviction clock.
-func TestProxyStatusPeekDoesNotTruncateLargeBodies(t *testing.T) {
+// TestProxyStreamsLargeBodies: a multi-MB job status reaches the
+// client through the proxy complete and byte-identical.
+func TestProxyStreamsLargeBodies(t *testing.T) {
 	big := []byte(`{"status":"done","result":"` + strings.Repeat("x", 3<<20) + `"}`)
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		switch r.URL.Path {
-		case "/v1/runs/big":
-			w.Write(big)
-		case "/v1/runs/small":
-			w.Write([]byte(`{"status":"done"}`))
-		default:
+		if r.URL.Path != "/v1/runs/big" {
 			http.NotFound(w, r)
+			return
 		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(big)
 	}))
 	defer upstream.Close()
 
@@ -814,79 +709,196 @@ func TestProxyStatusPeekDoesNotTruncateLargeBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	c.rememberRoute("big", upstream.URL)
-	c.rememberRoute("small", upstream.URL)
-	terminal := func(id string) bool {
-		c.routesMu.Lock()
-		defer c.routesMu.Unlock()
-		e, ok := c.jobRoutes[id]
-		return ok && !e.terminal.IsZero()
-	}
 
 	rec := httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/big", nil))
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+jobHandle(upstream.URL, "big"), nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("large status GET -> %d", rec.Code)
 	}
 	if !bytes.Equal(rec.Body.Bytes(), big) {
 		t.Fatalf("large body corrupted in proxy: got %d bytes, want %d", rec.Body.Len(), len(big))
 	}
-	if terminal("big") {
-		t.Fatal("truncated peek prefix must not be parsed as a terminal status")
+}
+
+// submitAsync posts spec through h without wait and returns the job ID
+// from the 202 reply.
+func submitAsync(t *testing.T, h http.Handler, spec server.RunSpec) string {
+	t.Helper()
+	body, _ := json.Marshal(spec)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("async submit -> %d: %s", rec.Code, rec.Body.String())
+	}
+	var sub struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil || sub.ID == "" {
+		t.Fatalf("no job id in %s", rec.Body.String())
+	}
+	return sub.ID
+}
+
+// TestJobHandleSurvivesCoordinatorRestart: the handle a coordinator
+// hands out for an async submit keeps working through a fresh
+// coordinator over the same workers, because the route is in the
+// handle, not in coordinator memory.
+func TestJobHandleSurvivesCoordinatorRestart(t *testing.T) {
+	workers, a := startFleet(t, 2, nil)
+	id := submitAsync(t, a.Handler(), testSpec(71))
+	a.Close()
+
+	urls := []string{workers[0].url, workers[1].url}
+	b, err := NewCoordinator(CoordinatorConfig{Peers: urls, VNodes: 16, HealthInterval: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(b.Close)
+	do := func(method, path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		b.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, nil))
+		return rec
 	}
 
-	rec = httptest.NewRecorder()
-	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/small", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("small status GET -> %d", rec.Code)
+	waitFor(t, "job to finish through the new coordinator", func() bool {
+		rec := do(http.MethodGet, "/v1/runs/"+id)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET through new coordinator -> %d: %s", rec.Code, rec.Body.String())
+		}
+		var snap server.Snapshot
+		return json.Unmarshal(rec.Body.Bytes(), &snap) == nil && snap.Status == server.StatusDone
+	})
+	rec := do(http.MethodGet, "/v1/runs/"+id+"/events")
+	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+	var last server.Event
+	if rec.Code != http.StatusOK || json.Unmarshal([]byte(lines[len(lines)-1]), &last) != nil || last.Type != "done" {
+		t.Fatalf("events through new coordinator -> %d, stream:\n%s", rec.Code, rec.Body.String())
 	}
-	if !terminal("small") {
-		t.Fatal("small terminal response did not start the route's eviction clock")
+	if rec := do(http.MethodDelete, "/v1/runs/"+id); rec.Code != http.StatusOK {
+		t.Fatalf("DELETE through new coordinator -> %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
-// TestRememberRoutePreservesTerminal: re-remembering a tracked job (a
-// duplicate submit response) must update node and touch time in place —
-// not replace the entry and silently restart the RouteTTL eviction
-// clock — and the FIFO-cap eviction path must count into
-// route_evictions like every other eviction.
-func TestRememberRoutePreservesTerminal(t *testing.T) {
+// replyRecorder is a client transport that keeps the body of every
+// worker reply to POST /v1/runs.
+type replyRecorder struct {
+	mu      sync.Mutex
+	replies [][]byte
+}
+
+func (rr *replyRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || req.Method != http.MethodPost || req.URL.Path != "/v1/runs" {
+		return resp, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	rr.mu.Lock()
+	rr.replies = append(rr.replies, data)
+	rr.mu.Unlock()
+	resp.Body = io.NopCloser(bytes.NewReader(data))
+	return resp, nil
+}
+
+func (rr *replyRecorder) last() []byte {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	return rr.replies[len(rr.replies)-1]
+}
+
+// TestJobHandleFormat: the coordinator's submit reply is the worker's
+// reply byte for byte except that id is "<node tag>-<worker id>", the
+// handle's suffix is the job's own id on the worker, and hit replies
+// (no id) pass through unchanged.
+func TestJobHandleFormat(t *testing.T) {
+	workers, _ := startFleet(t, 2, nil)
+	rr := &replyRecorder{}
 	c, err := NewCoordinator(CoordinatorConfig{
-		Peers:          []string{"http://127.0.0.1:1"},
+		Peers:          []string{workers[0].url, workers[1].url},
 		VNodes:         16,
 		HealthInterval: time.Hour,
+		Client:         &http.Client{Transport: rr},
 		Logf:           t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-
-	c.rememberRoute("job", "http://n1:1")
-	c.markRouteTerminal("job")
-	c.rememberRoute("job", "http://n2:1")
-	c.routesMu.Lock()
-	e, fifo := c.jobRoutes["job"], len(c.routeFIFO)
-	c.routesMu.Unlock()
-	if e.node != "http://n2:1" {
-		t.Fatalf("node not refreshed: %q", e.node)
-	}
-	if e.terminal.IsZero() {
-		t.Fatal("duplicate remember cleared the terminal timestamp (TTL clock restarted)")
-	}
-	if fifo != 1 {
-		t.Fatalf("duplicate remember grew the FIFO to %d entries", fifo)
+	post := func() *httptest.ResponseRecorder {
+		body, _ := json.Marshal(testSpec(81))
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs?wait=1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("submit -> %d: %s", rec.Code, rec.Body.String())
+		}
+		return rec
 	}
 
-	before := c.routeEvictions.Load()
-	for i := 0; i < maxJobRoutes+10; i++ {
-		c.rememberRoute(fmt.Sprintf("j%d", i), "http://n1:1")
+	rec := post()
+	var got, want server.SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.Cache != "miss" {
+		t.Fatalf("miss reply: %v %s", err, rec.Body.String())
 	}
-	if got := c.RouteCount(); got != maxJobRoutes {
-		t.Fatalf("route count %d after FIFO cap, want %d", got, maxJobRoutes)
+	worker := rr.last()
+	if err := json.Unmarshal(worker, &want); err != nil || want.ID == "" {
+		t.Fatalf("worker reply: %v %s", err, worker)
 	}
-	if c.routeEvictions.Load() <= before {
-		t.Fatal("FIFO-cap eviction not counted in route_evictions")
+	if handle := jobHandle(rec.Header().Get("X-Simd-Node"), want.ID); got.ID != handle {
+		t.Fatalf("handle %q, want %q", got.ID, handle)
+	}
+	if restored := bytes.Replace(rec.Body.Bytes(), []byte(got.ID), []byte(want.ID), 1); !bytes.Equal(restored, worker) {
+		t.Fatalf("reply differs from the worker's beyond id:\n%s\nworker:\n%s", rec.Body.Bytes(), worker)
+	}
+
+	snapRec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(snapRec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+got.ID, nil))
+	var snap server.Snapshot
+	if err := json.Unmarshal(snapRec.Body.Bytes(), &snap); err != nil || !strings.HasSuffix(got.ID, "-"+snap.ID) || snap.ID != want.ID {
+		t.Fatalf("handle %q, snapshot id %q (%d)", got.ID, snap.ID, snapRec.Code)
+	}
+
+	rec = post()
+	if !bytes.Equal(rec.Body.Bytes(), rr.last()) || strings.Contains(rec.Body.String(), `"id"`) {
+		t.Fatalf("hit reply not passed through unchanged:\n%s\nworker:\n%s", rec.Body.Bytes(), rr.last())
+	}
+}
+
+// TestJobHandleTags: a handle whose tag is malformed or names no member
+// gets the coordinator's 404, a member's tag with an unknown job gets
+// that worker's own 404, and a member that is down answers 502.
+func TestJobHandleTags(t *testing.T) {
+	workers, c := startFleet(t, 2, nil)
+	get := func(c *Coordinator, id string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id, nil))
+		return rec
+	}
+	unknown := "00000000"
+	for unknown == nodeTag(workers[0].url) || unknown == nodeTag(workers[1].url) {
+		unknown = "11111111"
+	}
+	for _, id := range []string{"nope", "0123456789", nodeTag(workers[0].url) + "-", nodeTag(workers[0].url) + "-x%2Fevents", "zzzzzzzz-abc-1", unknown + "-abc-1"} {
+		rec := get(c, id)
+		if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "not a handle for any member") {
+			t.Fatalf("handle %q -> %d %s, want the coordinator's 404", id, rec.Code, rec.Body.String())
+		}
+	}
+	rec := get(c, nodeTag(workers[0].url)+"-bogus-1")
+	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), `unknown job \"bogus-1\"`) {
+		t.Fatalf("member tag, unknown job -> %d %s, want the worker's 404", rec.Code, rec.Body.String())
+	}
+
+	down := "http://127.0.0.1:1"
+	dc, err := NewCoordinator(CoordinatorConfig{Peers: []string{down}, VNodes: 16, HealthInterval: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(dc.Close)
+	if rec := get(dc, jobHandle(down, "abc-1")); rec.Code != http.StatusBadGateway {
+		t.Fatalf("job on a down member -> %d %s, want 502", rec.Code, rec.Body.String())
 	}
 }
 

@@ -247,12 +247,25 @@ func TestReplicatedWritesSurvivePrimaryDeath(t *testing.T) {
 func TestMembershipChangeHandoff(t *testing.T) {
 	workers, c := startReplicatedFleet(t, 3)
 
-	// Seed the fleet with a dozen distinct results so the new node is
-	// overwhelmingly likely to own some of them.
+	// The joining worker starts up front (outside the ring) so the seeds
+	// can be chosen to make it the primary of at least one key on the
+	// grown ring; its port, and so its keyspace share, is random.
+	joined := startRepWorker(t, urlsOf(workers))
+	grown, err := NewRing(append(urlsOf(workers), joined.url), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	const nKeys = 12
-	results := make(map[string][]byte, nKeys)
-	keys := make([]string, 0, nKeys)
-	for seed := uint64(100); seed < 100+nKeys; seed++ {
+	var seeds []uint64
+	for seed, joinedOwns := uint64(100), false; len(seeds) < nKeys || !joinedOwns; seed++ {
+		seeds = append(seeds, seed)
+		joinedOwns = joinedOwns || grown.Owners(mustKey(t, testSpec(seed)), 1)[0] == joined.url
+	}
+
+	// Seed the fleet with those results.
+	results := make(map[string][]byte, len(seeds))
+	keys := make([]string, 0, len(seeds))
+	for _, seed := range seeds {
 		spec := testSpec(seed)
 		r := submitVia(t, c.Handler(), spec, "seed")
 		if r.status != http.StatusOK || r.Status != "done" {
@@ -271,8 +284,7 @@ func TestMembershipChangeHandoff(t *testing.T) {
 		return true
 	})
 
-	// Grow the fleet: a fourth worker joins over the membership API.
-	joined := startRepWorker(t, urlsOf(workers))
+	// Grow the fleet: the fourth worker joins over the membership API.
 	workers = append(workers, joined)
 	reply := postMembers(t, c, MemberChange{Action: "add", Node: joined.url})
 	if !reply.Changed || !reply.Handoff || len(reply.Members) != 4 {
@@ -319,7 +331,7 @@ func TestMembershipChangeHandoff(t *testing.T) {
 	live := workers[1:]
 
 	simsBefore := totalSimulations(live)
-	for seed := uint64(100); seed < 100+nKeys; seed++ {
+	for _, seed := range seeds {
 		spec := testSpec(seed)
 		r := submitVia(t, c.Handler(), spec, "reread")
 		key := mustKey(t, spec)

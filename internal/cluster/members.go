@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+
+	"repro/internal/server"
 )
 
 // MemberChange is the POST /v1/members request body, accepted by the
@@ -83,18 +85,18 @@ func WorkerMux(base http.Handler, ring *Ring, logf func(format string, args ...a
 	mux.HandleFunc("POST /v1/members", func(w http.ResponseWriter, r *http.Request) {
 		var ch MemberChange
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&ch); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode member change: %w", err))
+			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("decode member change: %w", err))
 			return
 		}
 		added, removed, err := applyChange(ring, ch)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			server.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		if logf != nil && (len(added) > 0 || len(removed) > 0) {
 			logf("cluster: membership updated (+%d -%d), now %d members", len(added), len(removed), len(ring.Nodes()))
 		}
-		writeJSON(w, http.StatusOK, MembersReply{
+		server.WriteJSON(w, http.StatusOK, MembersReply{
 			Members: ring.Nodes(),
 			Added:   added,
 			Removed: removed,
@@ -102,7 +104,7 @@ func WorkerMux(base http.Handler, ring *Ring, logf func(format string, args ...a
 		})
 	})
 	mux.HandleFunc("GET /v1/members", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, MembersReply{Members: ring.Nodes()})
+		server.WriteJSON(w, http.StatusOK, MembersReply{Members: ring.Nodes()})
 	})
 	mux.Handle("/", base)
 	return mux

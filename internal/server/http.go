@@ -34,13 +34,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	return mux
 }
 
-// submitResponse is the POST /v1/runs body.
-type submitResponse struct {
+// SubmitResponse is the POST /v1/runs body.
+type SubmitResponse struct {
 	ID     string          `json:"id,omitempty"`
 	Status Status          `json:"status"`
 	Cache  string          `json:"cache"` // "hit" | "miss"
@@ -53,34 +53,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
 		return
 	}
 	wait := r.URL.Query().Get("wait") != ""
 	job, cached, err := s.Submit(r.Context(), spec, !wait)
 	switch {
 	case errors.Is(err, ErrBadSpec):
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	case errors.Is(err, ErrQueueFull):
 		// Estimate from the observed drain rate instead of a hardcoded
 		// guess: a client that honors this finds a free slot on retry.
 		w.Header().Set("Retry-After", strconv.Itoa(s.RetryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if cached != nil {
-		writeJSON(w, http.StatusOK, submitResponse{Status: StatusDone, Cache: "hit", Result: cached})
+		WriteJSON(w, http.StatusOK, SubmitResponse{Status: StatusDone, Cache: "hit", Result: cached})
 		return
 	}
 	if !wait {
-		writeJSON(w, http.StatusAccepted, submitResponse{ID: job.ID, Status: job.Status(), Cache: "miss"})
+		WriteJSON(w, http.StatusAccepted, SubmitResponse{ID: job.ID, Status: job.Status(), Cache: "miss"})
 		return
 	}
 	// Synchronous mode: the request context is the client's lifetime —
@@ -94,40 +94,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job.Release()
 	snap := job.Snapshot()
-	resp := submitResponse{ID: snap.ID, Status: snap.Status, Cache: "miss", Error: snap.Error, Result: snap.Result}
+	resp := SubmitResponse{ID: snap.ID, Status: snap.Status, Cache: "miss", Error: snap.Error, Result: snap.Result}
 	code := http.StatusOK
 	if snap.Status != StatusDone {
 		code = http.StatusInternalServerError
 	}
-	writeJSON(w, code, resp)
+	WriteJSON(w, code, resp)
 }
 
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.Snapshot())
+	WriteJSON(w, http.StatusOK, job.Snapshot())
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !s.Cancel(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "canceling"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "canceling"})
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -159,12 +159,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if len(key) != 64 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed cache key %q", key))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed cache key %q", key))
 		return
 	}
 	data, ok := s.cfg.Store.Get(key)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("key %s not cached here", key[:12]))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("key %s not cached here", key[:12]))
 		return
 	}
 	s.peerServed.Add(1)
@@ -182,20 +182,20 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if len(key) != 64 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed cache key %q", key))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("malformed cache key %q", key))
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return
 	}
 	if !json.Valid(data) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("key %s: payload is not JSON", key[:12]))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("key %s: payload is not JSON", key[:12]))
 		return
 	}
 	if err := s.cfg.Store.PutDisk(key, data); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("store %s: %w", key[:12], err))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("store %s: %w", key[:12], err))
 		return
 	}
 	s.peerStored.Add(1)
@@ -204,16 +204,15 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
 	keys := s.cfg.Store.Keys()
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(keys), "keys": keys})
+	WriteJSON(w, http.StatusOK, map[string]any{"count": len(keys), "keys": keys})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	var cyclesPerSec float64
 	if st.SimSeconds > 0 {
 		cyclesPerSec = float64(st.Cycles) / st.SimSeconds
@@ -222,44 +221,39 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if st.Draining {
 		draining = 1
 	}
-	for _, m := range []struct {
-		name, typ string
-		value     any
-	}{
-		{"simd_queue_depth", "gauge", st.QueueDepth},
-		{"simd_inflight_jobs", "gauge", st.Inflight},
-		{"simd_draining", "gauge", draining},
-		{"simd_submissions_total", "counter", st.Submitted},
-		{"simd_coalesced_total", "counter", st.Coalesced},
-		{"simd_rejected_total", "counter", st.Rejected},
-		{"simd_jobs_completed_total", "counter", st.Completed},
-		{"simd_jobs_failed_total", "counter", st.Failed},
-		{"simd_jobs_canceled_total", "counter", st.Canceled},
-		{"simd_retries_total", "counter", st.Retries},
-		{"simd_simulations_total", "counter", st.Simulations},
-		{"simd_cycles_simulated_total", "counter", st.Cycles},
-		{"simd_sim_seconds_total", "counter", st.SimSeconds},
-		{"simd_cycles_per_sec", "gauge", cyclesPerSec},
-		{"simd_cache_hits_total", "counter", st.Cache.Hits},
-		{"simd_cache_disk_hits_total", "counter", st.Cache.DiskHits},
-		{"simd_cache_misses_total", "counter", st.Cache.Misses},
-		{"simd_cache_evictions_total", "counter", st.Cache.Evictions},
-		{"simd_cache_corrupt_total", "counter", st.Cache.Corrupt},
-		{"simd_cache_bytes", "gauge", st.Cache.Bytes},
-		{"simd_cache_entries", "gauge", st.Cache.Entries},
-		{"simd_cache_disk_bytes", "gauge", st.Cache.DiskBytes},
-		{"simd_cache_disk_entries", "gauge", st.Cache.DiskEntries},
-		{"simd_cluster_peer_fill_hits_total", "counter", st.PeerFillHits},
-		{"simd_cluster_peer_fill_misses_total", "counter", st.PeerFillMisses},
-		{"simd_cluster_peer_served_total", "counter", st.PeerServed},
-		{"simd_cluster_peer_stored_total", "counter", st.PeerStored},
-		{"simd_cluster_replica_pushed_total", "counter", st.ReplicaPushed},
-		{"simd_cluster_replica_failed_total", "counter", st.ReplicaFailed},
-		{"simd_reference_runs_total", "counter", st.ReferenceRuns},
-		{"simd_reference_hits_total", "counter", st.ReferenceHits},
-	} {
-		fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", m.name, m.typ, m.name, m.value)
-	}
+	WriteMetrics(w,
+		Gauge("simd_queue_depth", st.QueueDepth),
+		Gauge("simd_inflight_jobs", st.Inflight),
+		Gauge("simd_draining", draining),
+		Counter("simd_submissions_total", st.Submitted),
+		Counter("simd_coalesced_total", st.Coalesced),
+		Counter("simd_rejected_total", st.Rejected),
+		Counter("simd_jobs_completed_total", st.Completed),
+		Counter("simd_jobs_failed_total", st.Failed),
+		Counter("simd_jobs_canceled_total", st.Canceled),
+		Counter("simd_retries_total", st.Retries),
+		Counter("simd_simulations_total", st.Simulations),
+		Counter("simd_cycles_simulated_total", st.Cycles),
+		Counter("simd_sim_seconds_total", st.SimSeconds),
+		Gauge("simd_cycles_per_sec", cyclesPerSec),
+		Counter("simd_cache_hits_total", st.Cache.Hits),
+		Counter("simd_cache_disk_hits_total", st.Cache.DiskHits),
+		Counter("simd_cache_misses_total", st.Cache.Misses),
+		Counter("simd_cache_evictions_total", st.Cache.Evictions),
+		Counter("simd_cache_corrupt_total", st.Cache.Corrupt),
+		Gauge("simd_cache_bytes", st.Cache.Bytes),
+		Gauge("simd_cache_entries", st.Cache.Entries),
+		Gauge("simd_cache_disk_bytes", st.Cache.DiskBytes),
+		Gauge("simd_cache_disk_entries", st.Cache.DiskEntries),
+		Counter("simd_cluster_peer_fill_hits_total", st.PeerFillHits),
+		Counter("simd_cluster_peer_fill_misses_total", st.PeerFillMisses),
+		Counter("simd_cluster_peer_served_total", st.PeerServed),
+		Counter("simd_cluster_peer_stored_total", st.PeerStored),
+		Counter("simd_cluster_replica_pushed_total", st.ReplicaPushed),
+		Counter("simd_cluster_replica_failed_total", st.ReplicaFailed),
+		Counter("simd_reference_runs_total", st.ReferenceRuns),
+		Counter("simd_reference_hits_total", st.ReferenceHits),
+	)
 	fmt.Fprintf(w, "# TYPE simd_dispatch_active_cycles_total counter\nsimd_dispatch_active_cycles_total %d\n", st.ActiveCycles)
 	fmt.Fprint(w, "# TYPE simd_stall_cycles_total counter\n")
 	causes := make([]string, 0, len(st.StallCycles))
@@ -272,7 +266,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// Metric is one sample line of the Prometheus text format.
+type Metric struct {
+	name, typ string
+	value     any
+}
+
+// Gauge and Counter build a Metric of that type.
+func Gauge(name string, value any) Metric   { return Metric{name, "gauge", value} }
+func Counter(name string, value any) Metric { return Metric{name, "counter", value} }
+
+// WriteMetrics sets the text-format content type and writes each metric
+// as a "# TYPE" line followed by its sample. Callers may append further
+// lines (labelled series) after it.
+func WriteMetrics(w http.ResponseWriter, metrics ...Metric) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	for _, m := range metrics {
+		fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", m.name, m.typ, m.name, m.value)
+	}
+}
+
+// WriteJSON writes v as indented JSON with the given status code. The
+// coordinator uses it too, so a reply it re-encodes matches a worker's
+// byte for byte.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -280,6 +297,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError writes err as a JSON {"error": ...} body.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

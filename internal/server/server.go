@@ -221,6 +221,7 @@ type Server struct {
 	draining bool
 	jobs     map[string]*Job // by job ID, for status lookups
 	active   map[string]*Job // by cache key, for singleflight
+	finished []string        // IDs of terminal jobs still in jobs, oldest first
 	seq      uint64
 
 	//tlrob:allow(process-lifetime base context, the http.Server.BaseContext pattern; jobs derive from it)
@@ -517,13 +518,24 @@ func cancelReason(ctx context.Context, err error) string {
 	return err.Error()
 }
 
-// unregister removes a terminal job from the singleflight table and
-// releases its context, which would otherwise stay registered under
-// the server's base context for the life of the process.
+// maxFinishedJobs is how many terminal jobs a server keeps answering
+// for; older ones are forgotten and their IDs return 404. A variable
+// only so tests can lower it.
+var maxFinishedJobs = 4096
+
+// unregister removes a terminal job from the singleflight table, evicts
+// the oldest terminal jobs beyond maxFinishedJobs from the job table,
+// and releases the job's context, which would otherwise stay registered
+// under the server's base context for the life of the process.
 func (s *Server) unregister(j *Job) {
 	s.mu.Lock()
 	if s.active[j.Key] == j {
 		delete(s.active, j.Key)
+	}
+	s.finished = append(s.finished, j.ID)
+	for len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
 	j.cancel(errJobEnded)

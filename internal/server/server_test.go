@@ -438,7 +438,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first submitResponse
+	var first SubmitResponse
 	if err := json.NewDecoder(resp.Body).Decode(&first); err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var second submitResponse
+	var second SubmitResponse
 	if err := json.NewDecoder(resp.Body).Decode(&second); err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +472,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var async submitResponse
+	var async SubmitResponse
 	json.NewDecoder(resp.Body).Decode(&async)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted || async.ID == "" {
@@ -928,5 +928,77 @@ func TestPeerPutIsDiskOnly(t *testing.T) {
 	if after.DiskHits != before.DiskHits+1 || after.Hits != before.Hits || after.Entries != 1 {
 		t.Fatalf("Get after PUT: disk hits %d -> %d, memory hits %d -> %d, entries %d",
 			before.DiskHits, after.DiskHits, before.Hits, after.Hits, after.Entries)
+	}
+}
+
+// TestFinishedJobsBounded: the job table keeps only the newest
+// maxFinishedJobs terminal jobs. Older IDs answer 404, the newest 200,
+// and a job still running is never evicted however many finish after it.
+func TestFinishedJobsBounded(t *testing.T) {
+	defer func(n int) { maxFinishedJobs = n }(maxFinishedJobs)
+	maxFinishedJobs = 2
+	s := newTestServer(t, nil) // two workers: one wedged, one for the rest
+	release := make(chan struct{})
+	s.beforeRun = func(j *Job) {
+		if j.Spec.Seed == 100 {
+			<-release
+		}
+	}
+	defer close(release)
+	spec := func(seed uint64) RunSpec {
+		sp := tinySpec()
+		sp.Seed = seed
+		return sp
+	}
+	jobCount := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.jobs)
+	}
+
+	running, _, err := s.Submit(context.Background(), spec(100), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for seed := uint64(1); seed <= 5; seed++ {
+		j, cached, err := s.Submit(context.Background(), spec(seed), true)
+		if err != nil || cached != nil {
+			t.Fatalf("submit seed %d: %v cached=%v", seed, err, cached != nil)
+		}
+		waitDone(t, j)
+		ids = append(ids, j.ID)
+		// The running job plus at most the cap, plus the job that just
+		// finished but has not yet left the singleflight table.
+		if n := jobCount(); n > maxFinishedJobs+2 {
+			t.Fatalf("job table holds %d jobs after %d finished, cap %d", n, seed, maxFinishedJobs)
+		}
+	}
+	// The last job's eviction pass runs just after its Done closes.
+	deadline := time.Now().Add(10 * time.Second)
+	for jobCount() != maxFinishedJobs+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job table holds %d jobs, want %d finished + 1 running", jobCount(), maxFinishedJobs)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	h := s.Handler()
+	get := func(id string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/runs/"+id, nil))
+		return rec.Code
+	}
+	if code := get(ids[0]); code != http.StatusNotFound {
+		t.Fatalf("oldest finished job GET -> %d, want 404", code)
+	}
+	if code := get(ids[len(ids)-1]); code != http.StatusOK {
+		t.Fatalf("newest finished job GET -> %d, want 200", code)
+	}
+	if code := get(running.ID); code != http.StatusOK {
+		t.Fatalf("running job GET -> %d, want 200", code)
+	}
+	if st := running.Status(); st != StatusRunning {
+		t.Fatalf("wedged job is %s, want running", st)
 	}
 }

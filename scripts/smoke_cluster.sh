@@ -7,6 +7,9 @@
 #   - exactly one worker simulated each distinct spec (sharding works)
 #   - a worker asked directly for another shard's key answers from peer
 #     cache fill without re-simulating
+#   - an async job handle outlives its coordinator: after the coordinator
+#     is killed and a new one started on the same -peers, the handle
+#     still polls to "done" and its event stream ends with "done"
 #   - a node added via POST /v1/members mid-sweep joins the ring and
 #     triggers a key-handoff pass that runs to completion
 #   - a worker killed with SIGKILL is routed around: the fleet keeps
@@ -45,18 +48,25 @@ for i in 0 1 2; do
   eval "WPID$i=$!"
 done
 
+# boot_coordinator NAME starts a coordinator over $PEERS on a free port
+# and sets COORD to its URL and CPID to its pid.
+boot_coordinator() {
+  local out="$BINDIR/$1.out"
+  # -hedge-min is cranked up so slow-CI latency can't fire hedges and
+  # double-simulate specs: this smoke asserts exact simulation counts.
+  "$BINDIR/simd" -coordinator -peers "$PEERS" -addr 127.0.0.1:0 -replicas 3 \
+    -hedge-min 30s -hedge-max 30s >"$out" 2>"$BINDIR/$1.log" &
+  CPID=$!
+  PIDS+=($CPID)
+  for _ in $(seq 1 100); do
+    grep -q 'listening on' "$out" 2>/dev/null && break
+    sleep 0.1
+  done
+  COORD="http://$(awk '/listening on/ {print $NF; exit}' "$out")"
+}
+
 echo "==> boot coordinator (:0, scraped from stdout)"
-COUT="$BINDIR/coord.out"
-# -hedge-min is cranked up so slow-CI latency can't fire hedges and
-# double-simulate specs: this smoke asserts exact simulation counts.
-"$BINDIR/simd" -coordinator -peers "$PEERS" -addr 127.0.0.1:0 -replicas 3 \
-  -hedge-min 30s -hedge-max 30s >"$COUT" 2>"$BINDIR/coord.log" &
-PIDS+=($!)
-for _ in $(seq 1 100); do
-  grep -q 'listening on' "$COUT" 2>/dev/null && break
-  sleep 0.1
-done
-COORD="http://$(awk '/listening on/ {print $NF; exit}' "$COUT")"
+boot_coordinator coord
 
 for url in "$W0" "$W1" "$W2" "$COORD"; do
   for _ in $(seq 1 50); do
@@ -97,6 +107,24 @@ SIMS=$(curl -fsS "$COORD/v1/fleet" | jq .totals.simulations)
 [ "$SIMS" -eq 8 ] || { echo "peer fill re-simulated: fleet total now $SIMS"; exit 1; }
 FILLS=$(curl -fsS "$COORD/v1/fleet" | jq '[.nodes[].stats.PeerFillHits] | add')
 [ "$FILLS" -ge 1 ] || { echo "no peer fill recorded"; exit 1; }
+
+echo "==> async handle survives a coordinator restart"
+R=$(curl -fsS -X POST "$COORD/v1/runs" \
+  -d '{"scheme":"rrob","mixes":["Mix 1"],"budget":20000,"seed":4242}')
+HANDLE=$(echo "$R" | jq -r .id)
+[ -n "$HANDLE" ] && [ "$HANDLE" != null ] || { echo "async submit gave no handle: $R"; exit 1; }
+kill -9 "$CPID"
+boot_coordinator coord2
+curl -fsS "$COORD/healthz" >/dev/null
+for _ in $(seq 1 300); do
+  STATUS=$(curl -fsS "$COORD/v1/runs/$HANDLE" | jq -r .status) || STATUS="unreachable"
+  [ "$STATUS" = done ] && break
+  sleep 0.1
+done
+[ "$STATUS" = done ] || { echo "handle $HANDLE through the new coordinator: status $STATUS"; exit 1; }
+LAST=$(curl -fsS "$COORD/v1/runs/$HANDLE/events" | tail -n 1)
+echo "$LAST" | grep -q '"type":"done"' \
+  || { echo "event stream of $HANDLE ends with $LAST"; exit 1; }
 
 echo "==> membership: add a 4th worker mid-sweep, handoff rebalances"
 W3="http://127.0.0.1:$((PORT_BASE + 3))"
