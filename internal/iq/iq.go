@@ -38,8 +38,9 @@ type waiter struct {
 // IQ is the shared issue queue. The hardware CAM broadcast is modelled in
 // RAM terms: each not-ready source registers a waiter on its physical
 // register at insert, so Wakeup touches exactly the waiting entries
-// instead of scanning every slot, and a ready bitmap lets CollectReady
-// enumerate only the slots whose operands have all arrived.
+// instead of scanning every slot. The slots whose operands have all
+// arrived are kept twice: in a ready bitmap, and in a list ordered
+// oldest-first by sequence number that CollectReady copies out.
 type IQ struct {
 	entries   []Entry
 	count     int
@@ -47,6 +48,7 @@ type IQ struct {
 	free      []int      // stack of free slot indices (O(1) insert)
 	gen       []uint32   // per-slot recycle generation (stale-waiter check)
 	ready     []uint64   // bitmap: valid && both sources ready
+	readyList []int      // the ready slots, ascending Seq (preallocated to size)
 	waiters   [][]waiter // per physical register, grown on demand
 	stats     Stats
 }
@@ -71,6 +73,7 @@ func New(size, threads int) (*IQ, error) {
 		free:      make([]int, size),
 		gen:       make([]uint32, size),
 		ready:     make([]uint64, (size+63)/64),
+		readyList: make([]int, 0, size),
 	}
 	for i := range q.free {
 		q.free[i] = size - 1 - i
@@ -114,17 +117,51 @@ func (q *IQ) FastForward(k int64) {
 // entry, or re-discover an FU or LSQ conflict (which is itself counted).
 //
 //tlrob:allocfree
-func (q *IQ) HasReady() bool {
-	for _, w := range q.ready {
-		if w != 0 {
-			return true
-		}
+func (q *IQ) HasReady() bool { return len(q.readyList) > 0 }
+
+func (q *IQ) isReady(i int) bool { return q.ready[i>>6]&(1<<(uint(i)&63)) != 0 }
+
+// setReady marks slot i ready and inserts it into readyList at its age
+// position. Newly ready entries are usually among the youngest, so the
+// scan runs from the back.
+//
+//tlrob:allocfree
+func (q *IQ) setReady(i int) {
+	if q.isReady(i) {
+		return
 	}
-	return false
+	q.ready[i>>6] |= 1 << (uint(i) & 63)
+	seq := q.entries[i].Seq
+	l := q.readyList
+	j := len(l)
+	//tlrob:allow(bounded: readyList is preallocated to the queue size and never holds more than size slots)
+	l = append(l, i)
+	for ; j > 0 && q.entries[l[j-1]].Seq > seq; j-- {
+		l[j] = l[j-1]
+	}
+	l[j] = i
+	q.readyList = l
 }
 
-func (q *IQ) setReady(i int) { q.ready[i>>6] |= 1 << (uint(i) & 63) }
-func (q *IQ) clrReady(i int) { q.ready[i>>6] &^= 1 << (uint(i) & 63) }
+// clrReady removes slot i from the ready bitmap and readyList, if set.
+//
+//tlrob:allocfree
+func (q *IQ) clrReady(i int) {
+	if !q.isReady(i) {
+		return
+	}
+	q.ready[i>>6] &^= 1 << (uint(i) & 63)
+	l := q.readyList
+	for j, s := range l {
+		if s == i {
+			copy(l[j:], l[j+1:])
+			q.readyList = l[:len(l)-1]
+			return
+		}
+	}
+	panic("iq: ready slot missing from the ready list")
+}
+
 func (q *IQ) addWaiter(phys int32, i int) {
 	for int(phys) >= len(q.waiters) {
 		q.waiters = append(q.waiters, nil)
@@ -190,26 +227,16 @@ func (q *IQ) Wakeup(phys int32) {
 	q.waiters[phys] = ws[:0]
 }
 
-// CollectReady appends the indices of all ready entries to buf, sorted
-// oldest-first by sequence number, and returns it. The sort is a
-// hand-rolled insertion sort: sequence numbers are unique so the result
-// is the same permutation sort.Slice produced, without the per-call
-// interface boxing that allocated on every cycle.
+// CollectReady copies the indices of all ready entries into buf, oldest
+// first by sequence number, and returns it. The order is kept
+// incrementally as entries become ready and leave, so no per-cycle sort
+// runs; sequence numbers are unique, so it is the one order a sort would
+// produce.
+//
+//tlrob:allocfree
 func (q *IQ) CollectReady(buf []int) []int {
-	buf = buf[:0]
-	for w, word := range q.ready {
-		base := w << 6
-		for word != 0 {
-			buf = append(buf, base+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && q.entries[buf[j]].Seq < q.entries[buf[j-1]].Seq; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	return buf
+	//tlrob:allow(bounded: callers pass a buffer of the queue size, so the copy never grows it)
+	return append(buf[:0], q.readyList...)
 }
 
 // Entry returns the slot at index i.
@@ -256,7 +283,7 @@ func (q *IQ) CheckInvariants() error {
 	per := make([]int, len(q.perThread))
 	for i := range q.entries {
 		e := &q.entries[i]
-		rdyBit := q.ready[i>>6]&(1<<(uint(i)&63)) != 0
+		rdyBit := q.isReady(i)
 		if e.Valid {
 			live++
 			per[e.H.Tid]++
@@ -269,6 +296,21 @@ func (q *IQ) CheckInvariants() error {
 	}
 	if live != q.count {
 		return fmt.Errorf("iq: count=%d live=%d", q.count, live)
+	}
+	nready := 0
+	for _, w := range q.ready {
+		nready += bits.OnesCount64(w)
+	}
+	if len(q.readyList) != nready {
+		return fmt.Errorf("iq: ready list holds %d slots but bitmap %d", len(q.readyList), nready)
+	}
+	for j, i := range q.readyList {
+		if !q.isReady(i) {
+			return fmt.Errorf("iq: ready list holds slot %d whose ready bit is clear", i)
+		}
+		if j > 0 && q.entries[q.readyList[j-1]].Seq >= q.entries[i].Seq {
+			return fmt.Errorf("iq: ready list out of age order at position %d", j)
+		}
 	}
 	if len(q.free)+q.count != len(q.entries) {
 		return fmt.Errorf("iq: %d free + %d live != %d slots", len(q.free), q.count, len(q.entries))

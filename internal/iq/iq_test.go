@@ -1,6 +1,8 @@
 package iq
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -162,5 +164,77 @@ func TestQuickIQAccounting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadyListMatchesSortedScan drives the queue through random
+// inserts, wakeups, issues from anywhere in the ready order and squashes,
+// and requires CollectReady to return exactly what enumerating every
+// ready slot and sorting by age returns.
+func TestReadyListMatchesSortedScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	q, _ := New(64, 4)
+	buf := make([]int, 0, q.Size())
+	seq := uint64(0)
+	for step := 0; step < 20_000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 4:
+			seq++
+			var srcs []int32
+			for k := rng.Intn(3); k > 0; k-- {
+				srcs = append(srcs, int32(rng.Intn(40)))
+			}
+			q.Insert(entry(int8(rng.Intn(4)), seq, srcs...))
+		case op < 7:
+			q.Wakeup(int32(rng.Intn(40)))
+		case op < 9:
+			if buf = q.CollectReady(buf); len(buf) > 0 {
+				q.Remove(buf[rng.Intn(len(buf))])
+			}
+		default:
+			if seq > 0 {
+				q.SquashYounger(int8(rng.Intn(4)), seq-uint64(rng.Intn(8)))
+			}
+		}
+		var want []int
+		for i := range q.entries {
+			if q.entries[i].Valid && q.entries[i].Ready() {
+				want = append(want, i)
+			}
+		}
+		sort.Slice(want, func(a, b int) bool { return q.entries[want[a]].Seq < q.entries[want[b]].Seq })
+		buf = q.CollectReady(buf)
+		if len(buf) != len(want) {
+			t.Fatalf("step %d: ready list %v, sorted scan %v", step, buf, want)
+		}
+		for k := range want {
+			if buf[k] != want[k] {
+				t.Fatalf("step %d: ready list %v, sorted scan %v", step, buf, want)
+			}
+		}
+		if err := q.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+}
+
+// TestCollectReadyAllocFree pins the per-cycle path: with a buffer of
+// the queue size, collecting, issuing and re-readying allocate nothing.
+func TestCollectReadyAllocFree(t *testing.T) {
+	q, _ := New(8, 1)
+	buf := make([]int, 0, q.Size())
+	seq := uint64(0)
+	for i := 0; i < 8; i++ {
+		seq++
+		q.Insert(entry(0, seq))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = q.CollectReady(buf)
+		q.Remove(buf[0])
+		seq++
+		q.Insert(entry(0, seq))
+	})
+	if allocs != 0 {
+		t.Fatalf("CollectReady/Remove/Insert allocated %.1f times per cycle", allocs)
 	}
 }

@@ -181,6 +181,9 @@ type CPU struct {
 	skipAhead bool
 	// polSkip is the policy's skip-ahead hook (nil when absent).
 	polSkip policy.CycleSkipper
+	// steps counts the cycles stepCycle simulated one at a time; the
+	// rest of c.now was charged by skip-ahead in closed form.
+	steps int64
 
 	// tel is nil when telemetry is disabled; the per-cycle collector
 	// calls are guarded by that nil check. telState is the reusable
@@ -333,6 +336,7 @@ func watchdogCycles(budget uint64, cfgMax int64) int64 {
 //
 //tlrob:allocfree (the per-cycle body: every call is one simulated cycle)
 func (c *CPU) stepCycle(budget uint64) bool {
+	c.steps++
 	c.telState.Reset()
 	c.writeback()
 	if done := c.commit(budget); done {

@@ -197,10 +197,7 @@ func diffState(naive, fast *CPU) string {
 const slowcheckBudget = 3000
 
 func TestLockstepSchemes(t *testing.T) {
-	schemes := []struct {
-		name string
-		cfg  rob.Config
-	}{
+	schemes := []schemeRow{
 		{"Baseline_32", rob.Config{Threads: 4, L1Size: 32, Scheme: rob.Baseline}},
 		{"RROB_16", rob.DefaultConfig(4, rob.Reactive, 16)},
 		{"RelaxedRROB_15", rob.DefaultConfig(4, rob.RelaxedReactive, 15)},
@@ -217,6 +214,13 @@ func TestLockstepSchemes(t *testing.T) {
 				lockstep(t, cfg, mix, 1, slowcheckBudget, mix == "Mix 1")
 			})
 		}
+	}
+	for _, sc := range recheckSchemes() {
+		t.Run(sc.name+"/Mix 1", func(t *testing.T) {
+			cfg := DefaultConfig(4, sc.cfg)
+			cfg.Telemetry = &telemetry.Config{}
+			lockstep(t, cfg, "Mix 1", 1, slowcheckBudget, true)
+		})
 	}
 }
 

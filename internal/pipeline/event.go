@@ -19,7 +19,11 @@ type event struct {
 }
 
 // eventHeap is a binary min-heap on the fire cycle. Hand-rolled to avoid
-// interface boxing in the per-cycle hot path.
+// interface boxing in the per-cycle hot path. Both sifts move a hole and
+// write the moving event once, instead of swapping at every level; they
+// make the same comparisons in the same order as a swap-based heap, so
+// events due on the same cycle pop in the same order (which the
+// simulated results depend on).
 type eventHeap struct {
 	items []event
 }
@@ -31,12 +35,13 @@ func (h *eventHeap) push(e event) {
 	i := len(h.items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].at <= h.items[i].at {
+		if h.items[parent].at <= e.at {
 			break
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		h.items[i] = h.items[parent]
 		i = parent
 	}
+	h.items[i] = e
 }
 
 // peekAt returns the earliest fire cycle; callers must check len first.
@@ -44,24 +49,31 @@ func (h *eventHeap) peekAt() int64 { return h.items[0].at }
 
 func (h *eventHeap) pop() event {
 	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
+	n := len(h.items) - 1
+	x := h.items[n]
+	h.items = h.items[:n]
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.items) && h.items[l].at < h.items[smallest].at {
-			smallest = l
-		}
-		if r < len(h.items) && h.items[r].at < h.items[smallest].at {
-			smallest = r
-		}
-		if smallest == i {
+		l := 2*i + 1
+		if l >= n {
 			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		c, at := i, x.at
+		if h.items[l].at < at {
+			c, at = l, h.items[l].at
+		}
+		if r := l + 1; r < n && h.items[r].at < at {
+			c = r
+		}
+		if c == i {
+			break
+		}
+		h.items[i] = h.items[c]
+		i = c
 	}
+	h.items[i] = x
 	return top
 }

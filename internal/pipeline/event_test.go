@@ -63,6 +63,81 @@ func TestEventHeapRandomized(t *testing.T) {
 	}
 }
 
+// swapHeap is the swap-based binary heap eventHeap replaced, kept as the
+// reference for same-cycle pop order.
+type swapHeap struct {
+	items []event
+}
+
+func (h *swapHeap) push(e event) {
+	h.items = append(h.items, e)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.items[parent].at <= h.items[i].at {
+			break
+		}
+		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		i = parent
+	}
+}
+
+func (h *swapHeap) pop() event {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(h.items) && h.items[l].at < h.items[smallest].at {
+			smallest = l
+		}
+		if r < len(h.items) && h.items[r].at < h.items[smallest].at {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		i = smallest
+	}
+	return top
+}
+
+// TestEventHeapMatchesSwapHeap requires the hole-based heap to pop
+// exactly the swap-based heap's sequence, ties included: many events
+// share a fire cycle, and their relative order reaches the simulated
+// results (popping same-cycle events FIFO instead moves dod_mean).
+func TestEventHeapMatchesSwapHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 50; round++ {
+		var h eventHeap
+		var ref swapHeap
+		span := 1 + rng.Intn(8) // few distinct cycles: ties everywhere
+		for i := 0; i < 3000; i++ {
+			if len(ref.items) == 0 || rng.Intn(3) != 0 {
+				e := event{at: int64(rng.Intn(span)), seq: uint64(i), slot: int32(i % 97), tid: int8(i % 4)}
+				h.push(e)
+				ref.push(e)
+				continue
+			}
+			if got, want := h.pop(), ref.pop(); got != want {
+				t.Fatalf("round %d op %d: pop %+v, swap heap pops %+v", round, i, got, want)
+			}
+		}
+		for len(ref.items) > 0 {
+			if got, want := h.pop(), ref.pop(); got != want {
+				t.Fatalf("round %d drain: pop %+v, swap heap pops %+v", round, got, want)
+			}
+		}
+		if h.len() != 0 {
+			t.Fatalf("round %d: %d events left", round, h.len())
+		}
+	}
+}
+
 func TestFeQueue(t *testing.T) {
 	var q feQueue
 	if q.len() != 0 {

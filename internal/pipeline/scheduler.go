@@ -52,10 +52,12 @@ func (c *CPU) advance(maxCycles int64) bool {
 //   - commit: an executed ring head commits next cycle.
 //   - issue: a ready IQ entry either issues or re-counts an FU/LSQ
 //     conflict every cycle, so any ready entry forces simulation.
-//   - rob.TwoLevel: an undecided miss record's evaluation comes due at
-//     NextDue() (early-but-never-late, so waking at it is safe); a
-//     pending grant retry with a free partition cannot outlive a Tick,
-//     but is re-checked defensively.
+//   - rob.TwoLevel: an undecided miss record can act only at a recheck
+//     whose condition holds, and over an idle span the window is frozen,
+//     so IdleDue() names the earliest such recheck; rechecks that must
+//     fail are charged in closed form by rob.FastForward. A pending
+//     grant retry with a free partition cannot outlive a Tick, but is
+//     re-checked defensively.
 //   - dispatch: a fetch-queue head that clears the front-end pipeline
 //     at readyAt becomes dispatch-eligible then. A head that is already
 //     eligible but did not dispatch was resource-blocked, and every
@@ -89,12 +91,10 @@ func (c *CPU) nextInterestingCycle() int64 {
 
 	horizon := int64(math.MaxInt64)
 	if c.events.len() > 0 {
-		if at := c.events.peekAt(); at < horizon {
-			horizon = at
-		}
+		horizon = c.events.peekAt()
 	}
-	if c.rob.Undecided() > 0 {
-		if due := c.rob.NextDue(); due < horizon {
+	if horizon > next {
+		if due := c.rob.IdleDue(); due < horizon {
 			horizon = due
 		}
 	}
@@ -102,9 +102,9 @@ func (c *CPU) nextInterestingCycle() int64 {
 		// An event fires or a miss evaluation comes due on the very next
 		// cycle, so no skip is possible — the remaining checks could only
 		// lower the horizon further or return next themselves. Bailing out
-		// here keeps the snapshot rebuild and gate dry-runs off the dense
-		// stretches (reactive rechecks every few cycles, back-to-back
-		// completions) where they could not pay off.
+		// here keeps the record scan, snapshot rebuild and gate dry-runs
+		// off the dense stretches (back-to-back completions, reactive
+		// rechecks that can act) where they could not pay off.
 		return next
 	}
 	snapsFresh := false

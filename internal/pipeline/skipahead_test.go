@@ -15,6 +15,10 @@ import (
 // every `go test ./...` run; the slowcheck harness covers long runs.
 const diffBudget = 1500
 
+// stepBudget is long enough for Mix 1 to leave its warm-up and settle
+// into the miss-shadow phases skip-ahead exists for.
+const stepBudget = 20000
+
 // runBothEngines runs the same configuration twice — once with the
 // naive cycle-by-cycle ticker, once with skip-ahead — on independently
 // regenerated (hence identical) workload streams, and returns both
@@ -69,15 +73,18 @@ func requireIdentical(t *testing.T, naive, fast Result) {
 	}
 }
 
+// schemeRow names one ROB configuration of a differential matrix.
+type schemeRow struct {
+	name string
+	cfg  rob.Config
+}
+
 // TestSkipAheadMatchesNaive is the in-tree half of the differential
 // harness: every evaluated scheme, on a memory-bound (skip-heavy) and a
 // compute-bound (skip-poor) mix, across several seeds, must produce a
 // Result bit-identical to the naive ticker's — telemetry included.
 func TestSkipAheadMatchesNaive(t *testing.T) {
-	schemes := []struct {
-		name string
-		cfg  rob.Config
-	}{
+	schemes := []schemeRow{
 		{"Baseline_32", rob.Config{Threads: 4, L1Size: 32, Scheme: rob.Baseline}},
 		{"RROB_16", rob.DefaultConfig(4, rob.Reactive, 16)},
 		{"RelaxedRROB_15", rob.DefaultConfig(4, rob.RelaxedReactive, 15)},
@@ -101,6 +108,56 @@ func TestSkipAheadMatchesNaive(t *testing.T) {
 				})
 			}
 		}
+	}
+	for _, sc := range recheckSchemes() {
+		for _, seed := range seeds {
+			t.Run(fmt.Sprintf("%s/Mix 1/seed%d", sc.name, seed), func(t *testing.T) {
+				cfg := DefaultConfig(4, sc.cfg)
+				cfg.Telemetry = &telemetry.Config{}
+				naive, fast := runBothEngines(t, cfg, "Mix 1", seed, diffBudget)
+				requireIdentical(t, naive, fast)
+			})
+		}
+	}
+}
+
+// recheckSchemes are the reactive rows whose failing rechecks skip-ahead
+// charges in closed form, at recheck periods other than the paper's 10:
+// 1 (a recheck every cycle), 3 and 37 (spans that end mid-period) pin
+// the ceiling arithmetic in rob.FastForward.
+func recheckSchemes() []schemeRow {
+	var out []schemeRow
+	for _, r := range []int{1, 3, 37} {
+		rr := rob.DefaultConfig(4, rob.Reactive, 16)
+		rr.RecheckInterval = r
+		relaxed := rob.DefaultConfig(4, rob.RelaxedReactive, 15)
+		relaxed.RecheckInterval = r
+		out = append(out,
+			schemeRow{fmt.Sprintf("RROB_16_R%d", r), rr},
+			schemeRow{fmt.Sprintf("RelaxedRROB_15_R%d", r), relaxed})
+	}
+	return out
+}
+
+// TestSkipAheadSkipsFailingRechecks pins the reactive wake point: a
+// recheck whose oldest/L1-full condition fails while the window is
+// frozen cannot act, so it must not stop skip-ahead. Waking at every
+// recheck simulates 0.75 of these cycles one at a time; charging the
+// failing rechecks in closed form brings that to 0.24.
+func TestSkipAheadSkipsFailingRechecks(t *testing.T) {
+	cfg := DefaultConfig(4, rob.DefaultConfig(4, rob.Reactive, 16))
+	c, err := New(cfg, mixSources(t, "Mix 1", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(stepBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := float64(c.steps) / float64(res.Cycles)
+	t.Logf("RROB_16/Mix 1: %d of %d cycles simulated (%.2f)", c.steps, res.Cycles, ratio)
+	if ratio > 0.35 {
+		t.Errorf("simulated %d of %d cycles (%.2f), want at most 0.35", c.steps, res.Cycles, ratio)
 	}
 }
 

@@ -21,8 +21,8 @@ var DebugCrossCheckDoD bool
 // in the interim.
 //
 // The count is answered from the ring's incremental unexecuted-entry
-// state (maintained at push/execute/squash/commit) in O(log capacity)
-// instead of walking the window; ApproxDoDLinear is the original walk,
+// bitmap (maintained at push/execute/squash/commit) with one popcount per
+// word instead of walking the window; ApproxDoDLinear is the original walk,
 // kept as the cross-check oracle behind DebugCrossCheckDoD.
 //
 //tlrob:allocfree

@@ -143,57 +143,60 @@ func TestUntrainedLookupNotCountedAsDoDDenial(t *testing.T) {
 // randomized insert/execute/squash/commit sequence and checks after every
 // step that the incremental counter agrees with the original O(window)
 // walk, and that the ring's internal invariants (unexec counter and every
-// Fenwick leaf) hold. The seed is fixed for reproducibility.
+// bitmap bit) hold. The capacities cover a one-word bitmap and one whose
+// ranges cross word boundaries and end mid-word. The seed is fixed for
+// reproducibility.
 func TestIncrementalDoDMatchesLinearWalk(t *testing.T) {
 	DebugCrossCheckDoD = true
 	defer func() { DebugCrossCheckDoD = false }()
 
-	rng := rand.New(rand.NewSource(20080613)) // the paper's conference year+month+day
-	const capacity = 48
-	r := NewRing(capacity)
-	seq := uint64(1)
-	for step := 0; step < 25_000; step++ {
-		switch op := rng.Intn(100); {
-		case op < 40: // dispatch
-			if r.Len() < capacity {
-				_, e := r.Push()
-				e.Seq = seq
-				seq++
-				e.DestPhys = uop.NoReg
-				e.SrcPhys = [2]int32{uop.NoReg, uop.NoReg}
-				if rng.Intn(4) == 0 {
-					e.Op = isa.OpLoad
-					e.DestPhys = int32(100 + rng.Intn(32))
+	for _, capacity := range []int{48, 150} {
+		rng := rand.New(rand.NewSource(20080613)) // the paper's conference year+month+day
+		r := NewRing(capacity)
+		seq := uint64(1)
+		for step := 0; step < 25_000; step++ {
+			switch op := rng.Intn(100); {
+			case op < 40: // dispatch
+				if r.Len() < capacity {
+					_, e := r.Push()
+					e.Seq = seq
+					seq++
+					e.DestPhys = uop.NoReg
+					e.SrcPhys = [2]int32{uop.NoReg, uop.NoReg}
+					if rng.Intn(4) == 0 {
+						e.Op = isa.OpLoad
+						e.DestPhys = int32(100 + rng.Intn(32))
+					}
+				}
+			case op < 60: // execute a random live entry
+				if r.Len() > 0 {
+					r.MarkExecuted(r.SlotAt(rng.Intn(r.Len())))
+				}
+			case op < 70: // squash a random live entry (misprediction walk)
+				if r.Len() > 0 {
+					r.MarkSquashed(r.SlotAt(rng.Intn(r.Len())))
+				}
+			case op < 90: // commit
+				if r.Len() > 0 {
+					r.PopHead()
+				}
+			default: // tail removal (squash walk pops)
+				if r.Len() > 0 {
+					r.PopTail()
 				}
 			}
-		case op < 60: // execute a random live entry
 			if r.Len() > 0 {
-				r.MarkExecuted(r.SlotAt(rng.Intn(r.Len())))
+				slot := r.SlotAt(rng.Intn(r.Len()))
+				// ApproxDoD itself cross-checks (DebugCrossCheckDoD panics on
+				// divergence); the explicit comparison gives a test failure
+				// with context instead.
+				if got, want := ApproxDoD(r, slot), ApproxDoDLinear(r, slot); got != want {
+					t.Fatalf("capacity %d step %d slot %d: incremental %d != linear %d", capacity, step, slot, got, want)
+				}
 			}
-		case op < 70: // squash a random live entry (misprediction walk)
-			if r.Len() > 0 {
-				r.MarkSquashed(r.SlotAt(rng.Intn(r.Len())))
+			if err := r.CheckInvariants(); err != nil {
+				t.Fatalf("capacity %d step %d: %v", capacity, step, err)
 			}
-		case op < 90: // commit
-			if r.Len() > 0 {
-				r.PopHead()
-			}
-		default: // tail removal (squash walk pops)
-			if r.Len() > 0 {
-				r.PopTail()
-			}
-		}
-		if r.Len() > 0 {
-			slot := r.SlotAt(rng.Intn(r.Len()))
-			// ApproxDoD itself cross-checks (DebugCrossCheckDoD panics on
-			// divergence); the explicit comparison gives a test failure
-			// with context instead.
-			if got, want := ApproxDoD(r, slot), ApproxDoDLinear(r, slot); got != want {
-				t.Fatalf("step %d slot %d: incremental %d != linear %d", step, slot, got, want)
-			}
-		}
-		if err := r.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }

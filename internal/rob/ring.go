@@ -8,6 +8,7 @@ package rob
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/uop"
 )
@@ -19,11 +20,12 @@ import (
 // *effective* capacity at any moment is imposed by the TwoLevel manager.
 //
 // The ring also maintains the state behind the incremental DoD counter:
-// a running total of live not-yet-executed entries plus a Fenwick tree
-// over physical slots, so ApproxDoD answers "how many unexecuted entries
-// are younger than this load" without walking the window. Execution and
-// squash status must therefore be recorded through MarkExecuted and
-// MarkSquashed rather than by writing the UOp fields directly.
+// a running total of live not-yet-executed entries plus a bitmap with one
+// bit per physical slot, so ApproxDoD answers "how many unexecuted
+// entries are younger than this load" with a few popcounts instead of
+// walking the window. Execution and squash status must therefore be
+// recorded through MarkExecuted and MarkSquashed rather than by writing
+// the UOp fields directly.
 type Ring struct {
 	entries  []uop.UOp
 	head     int32 // slot of the oldest entry
@@ -31,11 +33,11 @@ type Ring struct {
 	capacity int32
 
 	// unexec counts live entries whose "result valid" bit is still clear
-	// (neither executed nor squashed); unexecBit is a Fenwick (binary
-	// indexed) tree over physical slots holding one bit per such entry,
-	// maintained at push/execute/squash/pop.
-	unexec    int32
-	unexecBit []int32
+	// (neither executed nor squashed); unexecBits holds one bit per
+	// physical slot, set exactly for such entries, maintained at
+	// push/execute/squash/pop.
+	unexec     int32
+	unexecBits []uint64
 }
 
 // NewRing allocates a ring with the given physical capacity.
@@ -44,9 +46,9 @@ func NewRing(capacity int) *Ring {
 		panic("rob: non-positive ring capacity")
 	}
 	return &Ring{
-		entries:   make([]uop.UOp, capacity),
-		capacity:  int32(capacity),
-		unexecBit: make([]int32, capacity+1),
+		entries:    make([]uop.UOp, capacity),
+		capacity:   int32(capacity),
+		unexecBits: make([]uint64, (capacity+63)/64),
 	}
 }
 
@@ -56,34 +58,25 @@ func (r *Ring) Len() int { return int(r.count) }
 // Cap returns the physical capacity.
 func (r *Ring) Cap() int { return int(r.capacity) }
 
-// bitAdd adds d to the Fenwick leaf for a physical slot.
-//
-//tlrob:allocfree
-func (r *Ring) bitAdd(slot, d int32) {
-	for i := slot + 1; i <= r.capacity; i += i & -i {
-		r.unexecBit[i] += d
-	}
-}
+// setBit and clrBit mark a physical slot as unexecuted or not.
+func (r *Ring) setBit(slot int32) { r.unexecBits[slot>>6] |= 1 << (uint(slot) & 63) }
+func (r *Ring) clrBit(slot int32) { r.unexecBits[slot>>6] &^= 1 << (uint(slot) & 63) }
 
-// bitPrefix sums the Fenwick leaves for physical slots [0, slot].
+// bitCount counts the set bits for physical slots [a, b] (a <= b).
 //
 //tlrob:allocfree
-func (r *Ring) bitPrefix(slot int32) int32 {
-	s := int32(0)
-	for i := slot + 1; i > 0; i -= i & -i {
-		s += r.unexecBit[i]
+func (r *Ring) bitCount(a, b int32) int {
+	wa, wb := a>>6, b>>6
+	lo := ^uint64(0) << (uint(a) & 63)
+	hi := ^uint64(0) >> (63 - (uint(b) & 63))
+	if wa == wb {
+		return bits.OnesCount64(r.unexecBits[wa] & lo & hi)
 	}
-	return s
-}
-
-// bitRange sums the leaves for physical slots [a, b] (a <= b).
-//
-//tlrob:allocfree
-func (r *Ring) bitRange(a, b int32) int32 {
-	if a == 0 {
-		return r.bitPrefix(b)
+	n := bits.OnesCount64(r.unexecBits[wa] & lo)
+	for w := wa + 1; w < wb; w++ {
+		n += bits.OnesCount64(r.unexecBits[w])
 	}
-	return r.bitPrefix(b) - r.bitPrefix(a-1)
+	return n + bits.OnesCount64(r.unexecBits[wb]&hi)
 }
 
 // counted reports whether an entry contributes to the unexecuted count.
@@ -114,7 +107,7 @@ func (r *Ring) Push() (int32, *uop.UOp) {
 	*e = uop.UOp{}
 	e.RobSlot = slot
 	r.unexec++
-	r.bitAdd(slot, 1)
+	r.setBit(slot)
 	return slot, e
 }
 
@@ -127,7 +120,7 @@ func (r *Ring) MarkExecuted(slot int32) {
 	e := &r.entries[slot]
 	if counted(e) {
 		r.unexec--
-		r.bitAdd(slot, -1)
+		r.clrBit(slot)
 	}
 	e.Executed = true
 }
@@ -141,7 +134,7 @@ func (r *Ring) MarkSquashed(slot int32) {
 	e := &r.entries[slot]
 	if counted(e) {
 		r.unexec--
-		r.bitAdd(slot, -1)
+		r.clrBit(slot)
 	}
 	e.Squashed = true
 }
@@ -153,21 +146,22 @@ func (r *Ring) Unexecuted() int { return int(r.unexec) }
 // UnexecutedYounger returns how many live not-yet-executed entries are
 // strictly younger than the entry in slot, or 0 when the slot is dead.
 // The load's own status does not matter: only the entries behind it are
-// counted, exactly as the linear §4.1 walk does. Cost is O(log capacity)
-// — two Fenwick prefix sums — versus the walk's O(window).
+// counted, exactly as the linear §4.1 walk does. Cost is one popcount
+// per bitmap word in the range (capacity/64 at most) versus the walk's
+// O(window).
 func (r *Ring) UnexecutedYounger(slot int32) int {
 	pos := r.PosOf(slot)
 	if pos < 0 || int32(pos)+1 >= r.count {
 		return 0
 	}
 	// Entries younger than slot occupy the circular physical range
-	// (slot+1 .. tail), split at the wrap point for prefix-sum queries.
+	// (slot+1 .. tail), split at the wrap point.
 	a := r.wrap(slot + 1)
 	b := r.wrap(r.head + r.count - 1)
 	if a <= b {
-		return int(r.bitRange(a, b))
+		return r.bitCount(a, b)
 	}
-	return int(r.bitRange(a, r.capacity-1) + r.bitRange(0, b))
+	return r.bitCount(a, r.capacity-1) + r.bitCount(0, b)
 }
 
 // Head returns the oldest entry, or nil when empty.
@@ -187,7 +181,7 @@ func (r *Ring) PopHead() {
 	}
 	if e := &r.entries[r.head]; counted(e) {
 		r.unexec--
-		r.bitAdd(r.head, -1)
+		r.clrBit(r.head)
 	}
 	r.head = r.wrap(r.head + 1)
 	r.count--
@@ -211,7 +205,7 @@ func (r *Ring) PopTail() {
 	slot := r.wrap(r.head + r.count - 1)
 	if e := &r.entries[slot]; counted(e) {
 		r.unexec--
-		r.bitAdd(slot, -1)
+		r.clrBit(slot)
 	}
 	r.count--
 }
@@ -257,20 +251,18 @@ func (r *Ring) CheckInvariants() error {
 		if e.RobSlot != slot {
 			return fmt.Errorf("rob: entry %d has stale slot %d", slot, e.RobSlot)
 		}
+		if bit := r.bitCount(slot, slot) == 1; bit != counted(e) {
+			return fmt.Errorf("rob: slot %d unexecuted=%v but bitmap bit=%v", slot, counted(e), bit)
+		}
 		if counted(e) {
 			unexec++
-			if got := r.bitRange(slot, slot); got != 1 {
-				return fmt.Errorf("rob: slot %d unexecuted but fenwick leaf is %d", slot, got)
-			}
-		} else if got := r.bitRange(slot, slot); got != 0 {
-			return fmt.Errorf("rob: slot %d executed/squashed but fenwick leaf is %d", slot, got)
 		}
 	}
 	if unexec != r.unexec {
 		return fmt.Errorf("rob: unexec counter %d but %d live unexecuted entries", r.unexec, unexec)
 	}
-	if total := r.bitPrefix(r.capacity - 1); total != r.unexec {
-		return fmt.Errorf("rob: fenwick total %d but unexec counter %d", total, r.unexec)
+	if total := r.bitCount(0, r.capacity-1); total != int(r.unexec) {
+		return fmt.Errorf("rob: bitmap holds %d bits but unexec counter is %d", total, r.unexec)
 	}
 	return nil
 }

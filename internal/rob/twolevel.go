@@ -276,16 +276,38 @@ func (t *TwoLevel) CanDispatch(tid int) bool {
 // Stats returns the manager counters.
 func (t *TwoLevel) Stats() Stats { return t.stats }
 
-// NextDue returns the conservative earliest cycle at which a Tick scan
-// could take an observable action for an undecided miss record (the
-// globalDue bound: may be early, never late). Meaningful only while
-// Undecided() > 0; the pipeline's skip-ahead engine uses it as the
-// manager's next-interesting-cycle wake point.
-func (t *TwoLevel) NextDue() int64 { return t.globalDue }
-
-// Undecided returns how many tracked misses still await an allocation
-// decision.
-func (t *TwoLevel) Undecided() int { return t.undecided }
+// IdleDue returns the earliest cycle at which a Tick could take an
+// observable action for an undecided miss record, assuming the machine
+// stays idle until then: nothing dispatches, commits, squashes or fires,
+// so every ring's head and length are frozen. Under that assumption a
+// Reactive record whose oldest/L1-full condition fails now fails at every
+// recheck (RelaxedReactive: oldest only), and its only effect is to push
+// nextCheckAt forward by RecheckInterval — FastForward charges those
+// rechecks in closed form, so only records whose condition holds now
+// (and every CDR record, which has no structural condition) are wake
+// points. It returns 1<<62 when no record can act. The pipeline's
+// skip-ahead engine uses it as the manager's next-interesting-cycle
+// bound.
+//
+//tlrob:allocfree
+func (t *TwoLevel) IdleDue() int64 {
+	due := int64(1) << 62
+	if t.undecided == 0 {
+		return due
+	}
+	for tid, recs := range t.misses {
+		if t.pending[tid] == 0 {
+			continue
+		}
+		for j := range recs {
+			rec := &recs[j]
+			if !rec.decided && rec.nextCheckAt < due && t.conditionHolds(tid, rec) {
+				due = rec.nextCheckAt
+			}
+		}
+	}
+	return due
+}
 
 // PendingRetry reports whether some decided-yes miss is still waiting
 // for the partition to free. After any Tick this implies the partition
@@ -295,11 +317,16 @@ func (t *TwoLevel) Undecided() int { return t.undecided }
 func (t *TwoLevel) PendingRetry() bool { return t.retries > 0 }
 
 // FastForward advances the per-cycle bookkeeping over a span of cycles
-// the caller has proven to be no-ops for the manager: no miss events, no
-// evaluation due (now stays below NextDue for every skipped cycle), no
-// grant retry that could succeed, and no release pending. lastTick is
+// the caller has proven to be idle for the manager: no miss events, no
+// record whose condition holds comes due (lastTick stays below IdleDue),
+// no grant retry that could succeed, and no release pending. lastTick is
 // the last cycle of the skipped span — Tick(lastTick) is what the
 // bookkeeping ends up equivalent to — and k is the span length.
+//
+// Every undecided record due inside the span fails each recheck there,
+// so its next check moves forward by whole recheck periods, to the first
+// cycle after lastTick the naive ticker would reach:
+// n0 + ⌈(lastTick+1−n0)/R⌉·R.
 //
 //tlrob:allocfree
 func (t *TwoLevel) FastForward(lastTick int64, k int64) {
@@ -311,6 +338,31 @@ func (t *TwoLevel) FastForward(lastTick int64, k int64) {
 		return
 	}
 	t.tickRot += int(k)
+	if t.undecided == 0 || lastTick < t.globalDue {
+		return
+	}
+	r := int64(t.cfg.RecheckInterval)
+	gd := int64(1) << 62
+	for tid, recs := range t.misses {
+		due := int64(1) << 62
+		for j := range recs {
+			rec := &recs[j]
+			if rec.decided {
+				continue
+			}
+			if n0 := rec.nextCheckAt; n0 <= lastTick {
+				rec.nextCheckAt = n0 + (lastTick+r-n0)/r*r
+			}
+			if rec.nextCheckAt < due {
+				due = rec.nextCheckAt
+			}
+		}
+		t.nextDue[tid] = due
+		if t.pending[tid] > 0 && due < gd {
+			gd = due
+		}
+	}
+	t.globalDue = gd
 }
 
 // Predictor returns the DoD predictor (nil unless Predictive).
@@ -549,29 +601,11 @@ func (t *TwoLevel) Tick(now int64) {
 //
 //tlrob:allocfree
 func (t *TwoLevel) evaluate(tid int, rec *missRecord, now int64) {
-	ring := t.rings[tid]
-	switch t.cfg.Scheme {
-	case Reactive:
-		if !ring.IsOldest(rec.slot) || ring.Len() < t.cfg.L1Size {
-			rec.nextCheckAt = now + int64(t.cfg.RecheckInterval)
-			return
-		}
-	case RelaxedReactive:
-		if !ring.IsOldest(rec.slot) {
-			rec.nextCheckAt = now + int64(t.cfg.RecheckInterval)
-			return
-		}
-	case CountDelayedReactive:
-		// Delay already encoded in nextCheckAt; no structural conditions.
-	case Baseline, Predictive, SharedSingle:
-		// Misses are only tracked (and evaluate reached) under the
-		// reactive schemes; Predictive decides at MissDetected and
-		// Baseline/SharedSingle never allocate a second level.
-		panic("rob: evaluate called under non-reactive scheme " + t.cfg.Scheme.String())
-	default:
-		panic("rob: evaluate called with unknown scheme")
+	if !t.conditionHolds(tid, rec) {
+		rec.nextCheckAt = now + int64(t.cfg.RecheckInterval)
+		return
 	}
-	dod := ApproxDoD(ring, rec.slot)
+	dod := ApproxDoD(t.rings[tid], rec.slot)
 	rec.decided = true
 	t.undecided--
 	t.pending[tid]--
@@ -584,6 +618,32 @@ func (t *TwoLevel) evaluate(tid int, rec *missRecord, now int64) {
 	if rec.wantAlloc {
 		t.retries++
 		t.pending[tid]++
+	}
+}
+
+// conditionHolds reports whether an undecided record's structural
+// allocation condition is met in the current window state: the missing
+// load is the oldest entry and (Reactive only) the first-level ROB is
+// full. CDR has no structural condition — its delay is already encoded
+// in nextCheckAt.
+//
+//tlrob:allocfree
+func (t *TwoLevel) conditionHolds(tid int, rec *missRecord) bool {
+	ring := t.rings[tid]
+	switch t.cfg.Scheme {
+	case Reactive:
+		return ring.IsOldest(rec.slot) && ring.Len() >= t.cfg.L1Size
+	case RelaxedReactive:
+		return ring.IsOldest(rec.slot)
+	case CountDelayedReactive:
+		return true
+	case Baseline, Predictive, SharedSingle:
+		// Misses are only left undecided under the reactive schemes;
+		// Predictive decides at MissDetected and Baseline/SharedSingle
+		// never allocate a second level.
+		panic("rob: reactive condition checked under non-reactive scheme " + t.cfg.Scheme.String())
+	default:
+		panic("rob: reactive condition checked with unknown scheme")
 	}
 }
 
