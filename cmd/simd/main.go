@@ -68,7 +68,7 @@ func main() {
 		coordinator   = flag.Bool("coordinator", false, "run as the fleet coordinator instead of a worker")
 		vnodes        = flag.Int("vnodes", 64, "virtual nodes per ring member")
 		replicas      = flag.Int("replicas", 0, "coordinator: distinct nodes a submission may try across reroutes and hedges (default 3)")
-		writeReplicas = flag.Int("write-replicas", 2, "copies each result should have across the fleet: workers replicate completed results to that many ring owners, the coordinator's handoff restores that placement")
+		writeReplicas = flag.Int("write-replicas", 2, "worker: copies each result should have across the fleet; completed results are replicated to that many ring owners")
 		hedgeQ        = flag.Float64("hedge-quantile", 0.95, "latency percentile after which a backup request is hedged")
 		hedgeMin      = flag.Duration("hedge-min", 100*time.Millisecond, "hedge delay floor (also the cold-start delay)")
 		hedgeMax      = flag.Duration("hedge-max", 5*time.Second, "hedge delay ceiling")
@@ -92,7 +92,6 @@ func main() {
 			Peers:         peerList,
 			VNodes:        *vnodes,
 			Replicas:      *replicas,
-			WriteReplicas: *writeReplicas,
 			HedgeQuantile: *hedgeQ,
 			HedgeAfterMin: *hedgeMin,
 			HedgeAfterMax: *hedgeMax,
@@ -216,8 +215,8 @@ func runCoordinator(addr string, peers []string, peerFile string, cfg cluster.Co
 	log.Printf("coordinator listening on %s (%d peers)", bound, len(peers))
 
 	// SIGHUP re-reads -peer-file and applies it as the authoritative
-	// member list: workers are synced, and cached results rebalance onto
-	// the new ring in the background.
+	// member list, and workers are synced to it. Cached results stay
+	// where they are; new primaries fill them from peers on first read.
 	if peerFile != "" {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)
@@ -233,8 +232,8 @@ func runCoordinator(addr string, peers []string, peerFile string, cfg cluster.Co
 					log.Printf("coordinator: SIGHUP reload: %v", err)
 					continue
 				}
-				log.Printf("coordinator: SIGHUP reload: +%v -%v (%d members, handoff=%v)",
-					reply.Added, reply.Removed, len(reply.Members), reply.Handoff)
+				log.Printf("coordinator: SIGHUP reload: +%v -%v (%d members)",
+					reply.Added, reply.Removed, len(reply.Members))
 			}
 		}()
 	}

@@ -57,16 +57,11 @@ type CoordinatorConfig struct {
 	QuotaRate  float64
 	QuotaBurst float64
 
-	// WriteReplicas is the durability factor R the fleet aims for: each
-	// result should live on its key's first R ring owners (workers
-	// replicate on completion; the handoff pass restores placement after
-	// membership changes). Default 2 — primary plus one replica.
+	// WriteReplicas is unused: workers set the copy count themselves
+	// (NewReplicator).
+	//
+	// Deprecated: ignored since key handoff was removed; kept so existing callers compile.
 	WriteReplicas int
-	// HandoffConcurrency bounds parallel key moves in a handoff pass
-	// (default 4); HandoffTimeout bounds each list/fetch/push op
-	// (default 15s).
-	HandoffConcurrency int
-	HandoffTimeout     time.Duration
 
 	// MaxBudget mirrors the workers' largest accepted per-thread
 	// instruction budget so routing rejects what workers would (0 =
@@ -107,15 +102,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.QuotaBurst <= 0 {
 		c.QuotaBurst = 2 * c.QuotaRate
 	}
-	if c.WriteReplicas <= 0 {
-		c.WriteReplicas = 2
-	}
-	if c.HandoffConcurrency <= 0 {
-		c.HandoffConcurrency = 4
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = 15 * time.Second
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -138,19 +124,15 @@ type Coordinator struct {
 	closeOnce  sync.Once
 	healthWG   sync.WaitGroup
 
-	// Handoff state: one pass runs at a time; a membership change while
-	// one is running flags a rerun (handoff.go). handoffClosed is set
-	// under handoffMu before Close waits, so neither kickHandoff nor
-	// syncWorkers can Add to a WaitGroup that is already being waited on.
-	//tlrob:allow(process-lifetime base context for background handoff, cancelled by Close)
-	handoffCtx     context.Context
-	handoffCancel  context.CancelFunc
-	handoffMu      sync.Mutex
-	handoffRunning bool
-	handoffPending bool
-	handoffClosed  bool
-	handoffWG      sync.WaitGroup
-	syncWG         sync.WaitGroup
+	// Member syncs run in the background under syncCtx. syncClosed is
+	// set under syncMu before Close waits, so syncWorkers cannot Add to
+	// a WaitGroup that is already being waited on.
+	//tlrob:allow(process-lifetime base context for background member syncs, cancelled by Close)
+	syncCtx    context.Context
+	syncCancel context.CancelFunc
+	syncMu     sync.Mutex
+	syncClosed bool
+	syncWG     sync.WaitGroup
 
 	forwards, forwardErrors       atomic.Uint64
 	hedgesFired, hedgesWon        atomic.Uint64
@@ -159,10 +141,6 @@ type Coordinator struct {
 	nodeDeaths, nodeRevivals      atomic.Uint64
 	cacheHits, cacheMisses        atomic.Uint64 // as reported by worker responses
 	membersAdded, membersRemoved  atomic.Uint64
-	handoffRuns, handoffScanned   atomic.Uint64
-	handoffMoved, handoffSkipped  atomic.Uint64
-	handoffErrors                 atomic.Uint64
-	handoffActive                 atomic.Int64
 	memberSyncs, memberSyncErrors atomic.Uint64
 }
 
@@ -179,34 +157,33 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	hctx, hcancel := context.WithCancel(context.Background())
+	sctx, scancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:           cfg,
-		ring:          ring,
-		quotas:        NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),
-		fairq:         NewFairQueue(cfg.MaxInflight, cfg.TenantWeight),
-		lat:           newLatencyTracker(512),
-		stopHealth:    make(chan struct{}),
-		handoffCtx:    hctx,
-		handoffCancel: hcancel,
+		cfg:        cfg,
+		ring:       ring,
+		quotas:     NewQuotas(cfg.QuotaRate, cfg.QuotaBurst),
+		fairq:      NewFairQueue(cfg.MaxInflight, cfg.TenantWeight),
+		lat:        newLatencyTracker(512),
+		stopHealth: make(chan struct{}),
+		syncCtx:    sctx,
+		syncCancel: scancel,
 	}
 	c.healthWG.Add(1)
 	go c.healthLoop()
 	return c, nil
 }
 
-// Close stops the health prober, any running handoff pass and in-flight
-// member syncs. Safe to call more than once.
+// Close stops the health prober and in-flight member syncs. Safe to
+// call more than once.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.stopHealth)
-		c.handoffMu.Lock()
-		c.handoffClosed = true
-		c.handoffMu.Unlock()
-		c.handoffCancel()
+		c.syncMu.Lock()
+		c.syncClosed = true
+		c.syncMu.Unlock()
+		c.syncCancel()
 	})
 	c.healthWG.Wait()
-	c.handoffWG.Wait()
 	c.syncWG.Wait()
 }
 
@@ -234,8 +211,8 @@ func (c *Coordinator) healthLoop() {
 
 // ApplyMemberChange mutates fleet membership (POST /v1/members and the
 // SIGHUP peer-file reload both land here). On any actual change the new
-// member list is pushed to every affected worker and a background key
-// handoff pass is kicked.
+// member list is pushed to every affected worker. No keys move: a new
+// primary reaches a key's old holders through peer fill on first read.
 func (c *Coordinator) ApplyMemberChange(ch MemberChange) (MembersReply, error) {
 	before := c.ring.Nodes()
 	added, removed, err := applyChange(c.ring, ch)
@@ -255,8 +232,6 @@ func (c *Coordinator) ApplyMemberChange(ch MemberChange) (MembersReply, error) {
 	c.membersRemoved.Add(uint64(len(removed)))
 	c.cfg.Logf("cluster: membership changed: +%v -%v (now %d members)", added, removed, len(reply.Members))
 	c.syncWorkers(before, reply.Members)
-	c.kickHandoff()
-	reply.Handoff = true
 	return reply, nil
 }
 
@@ -264,7 +239,7 @@ func (c *Coordinator) ApplyMemberChange(ch MemberChange) (MembersReply, error) {
 // was or is a member, so worker-side peer fill and replica writes
 // follow the new ring. Best-effort and asynchronous: a worker that
 // misses an update converges on the next change (set semantics are
-// idempotent), and the handoff pass repairs any placement drift.
+// idempotent).
 func (c *Coordinator) syncWorkers(before, after []string) {
 	targets := make(map[string]bool, len(before)+len(after))
 	for _, n := range before {
@@ -278,18 +253,18 @@ func (c *Coordinator) syncWorkers(before, after []string) {
 		c.cfg.Logf("cluster: member sync: %v", err)
 		return
 	}
-	c.handoffMu.Lock()
-	if c.handoffClosed {
-		c.handoffMu.Unlock()
+	c.syncMu.Lock()
+	if c.syncClosed {
+		c.syncMu.Unlock()
 		return
 	}
 	c.syncWG.Add(len(targets))
-	c.handoffMu.Unlock()
+	c.syncMu.Unlock()
 	for node := range targets {
 		node := node
 		go func() {
 			defer c.syncWG.Done()
-			ctx, cancel := context.WithTimeout(c.handoffCtx, c.cfg.HealthTimeout)
+			ctx, cancel := context.WithTimeout(c.syncCtx, c.cfg.HealthTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/members", bytes.NewReader(body))
 			if err != nil {
@@ -497,12 +472,6 @@ type Stats struct {
 	MembersRemoved uint64  `json:"members_removed"`
 	MemberSyncs    uint64  `json:"member_syncs"`
 	MemberSyncErrs uint64  `json:"member_sync_errors"`
-	HandoffRuns    uint64  `json:"handoff_runs"`
-	HandoffScanned uint64  `json:"handoff_keys_scanned"`
-	HandoffMoved   uint64  `json:"handoff_keys_moved"`
-	HandoffSkipped uint64  `json:"handoff_keys_skipped"`
-	HandoffErrors  uint64  `json:"handoff_errors"`
-	HandoffActive  int64   `json:"handoff_active"`
 	FairQueueDepth int     `json:"fairq_depth"`
 	HedgeDelayMs   float64 `json:"hedge_delay_ms"`
 	LatencyP50Ms   float64 `json:"latency_p50_ms"`
@@ -530,12 +499,6 @@ func (c *Coordinator) Stats() Stats {
 		MembersRemoved: c.membersRemoved.Load(),
 		MemberSyncs:    c.memberSyncs.Load(),
 		MemberSyncErrs: c.memberSyncErrors.Load(),
-		HandoffRuns:    c.handoffRuns.Load(),
-		HandoffScanned: c.handoffScanned.Load(),
-		HandoffMoved:   c.handoffMoved.Load(),
-		HandoffSkipped: c.handoffSkipped.Load(),
-		HandoffErrors:  c.handoffErrors.Load(),
-		HandoffActive:  c.handoffActive.Load(),
 		FairQueueDepth: c.fairq.Depth(),
 		HedgeDelayMs:   float64(c.hedgeDelay()) / 1e6,
 		LatencyP50Ms:   float64(c.lat.Quantile(0.50)) / 1e6,
@@ -867,12 +830,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		server.Counter("simd_cluster_members_removed_total", st.MembersRemoved),
 		server.Counter("simd_cluster_member_syncs_total", st.MemberSyncs),
 		server.Counter("simd_cluster_member_sync_errors_total", st.MemberSyncErrs),
-		server.Counter("simd_cluster_handoff_runs_total", st.HandoffRuns),
-		server.Counter("simd_cluster_handoff_keys_scanned_total", st.HandoffScanned),
-		server.Counter("simd_cluster_handoff_keys_moved_total", st.HandoffMoved),
-		server.Counter("simd_cluster_handoff_keys_skipped_total", st.HandoffSkipped),
-		server.Counter("simd_cluster_handoff_errors_total", st.HandoffErrors),
-		server.Gauge("simd_cluster_handoff_active", st.HandoffActive),
 		server.Gauge("simd_cluster_fairq_depth", st.FairQueueDepth),
 		server.Gauge("simd_cluster_hedge_delay_ms", st.HedgeDelayMs),
 		server.Gauge("simd_cluster_latency_p50_ms", st.LatencyP50Ms),

@@ -125,8 +125,8 @@ func NewReplicator(self string, ring *Ring, replicas int, timeout time.Duration,
 // is itself one of those owners this pushes replicas-1 copies; when the
 // result was simulated off-placement (a direct submission to the
 // "wrong" node) it repairs placement by pushing to every owner. Each
-// push is best-effort: a dead target simply stays behind, and the
-// coordinator's handoff pass or the next completion heals it.
+// push is best-effort: a dead target simply stays behind until a later
+// read on it fills the key from a peer.
 func (r *Replicator) Replicate(ctx context.Context, key string, data []byte) (pushed, failed int) {
 	for _, owner := range r.ring.Owners(key, r.replicas) {
 		if owner == r.self {

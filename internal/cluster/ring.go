@@ -34,7 +34,6 @@ type Ring struct {
 	points []point // sorted by hash
 	nodes  []string
 	alive  map[string]bool
-	gen    uint64 // bumped on every membership change
 }
 
 // ringHash places s on the 64-bit ring keyspace. SHA-256 keeps vnode
@@ -101,15 +100,6 @@ func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
 
-// Generation counts membership changes. A handoff pass snapshots it and
-// aborts when it moves, so a stale pass never applies an old ring's
-// placement decisions.
-func (r *Ring) Generation() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
-}
-
 // Add joins node to the ring (initially alive) and rebuilds the vnode
 // table. It reports false if node is already a member.
 func (r *Ring) Add(node string) bool {
@@ -124,7 +114,6 @@ func (r *Ring) Add(node string) bool {
 	r.nodes = append(r.nodes, node)
 	sort.Strings(r.nodes)
 	r.alive[node] = true
-	r.gen++
 	r.rebuildLocked()
 	return true
 }
@@ -145,7 +134,6 @@ func (r *Ring) Remove(node string) bool {
 			break
 		}
 	}
-	r.gen++
 	r.rebuildLocked()
 	return true
 }
@@ -189,7 +177,6 @@ func (r *Ring) SetMembers(nodes []string) (added, removed []string, err error) {
 		r.alive[n] = true
 	}
 	r.nodes = next
-	r.gen++
 	r.rebuildLocked()
 	return added, removed, nil
 }

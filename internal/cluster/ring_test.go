@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -101,8 +102,8 @@ func TestRingRejectsDuplicatesAndEmpty(t *testing.T) {
 }
 
 // ownersDistinct fails the test if any key's owner list repeats a
-// physical node — the invariant that keeps replication and handoff from
-// counting one copy twice.
+// physical node — the invariant that keeps replication and peer fill
+// from counting one copy twice.
 func ownersDistinct(t *testing.T, r *Ring, keys []string) {
 	t.Helper()
 	for _, key := range keys {
@@ -147,21 +148,12 @@ func TestRingAddRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := r.Generation()
 	for _, step := range steps {
 		if got := step.op(r); got != step.wantOK {
 			t.Fatalf("%s: reported %v, want %v", step.name, got, step.wantOK)
 		}
 		if got := r.Nodes(); !reflect.DeepEqual(got, step.members) {
 			t.Fatalf("%s: members %v, want %v", step.name, got, step.members)
-		}
-		if step.wantOK {
-			if g := r.Generation(); g != gen+1 {
-				t.Fatalf("%s: generation %d, want %d", step.name, g, gen+1)
-			}
-			gen++
-		} else if g := r.Generation(); g != gen {
-			t.Fatalf("%s: no-op bumped the generation", step.name)
 		}
 		ownersDistinct(t, r, ringProbeKeys)
 		// The mutated ring must agree with a fresh one on every routing
@@ -280,14 +272,20 @@ func TestRingSetMembers(t *testing.T) {
 	}
 	ownersDistinct(t, r, ringProbeKeys)
 
-	// An identical list is a no-op and does not bump the generation.
-	gen := r.Generation()
+	// An identical list is a no-op and leaves every routing decision as
+	// it was.
+	before := make([][]string, len(ringProbeKeys))
+	for i, key := range ringProbeKeys {
+		before[i] = r.Owners(key, 0)
+	}
 	added, removed, err = r.SetMembers([]string{"http://node-d:1", "http://node-c:1", "http://node-b:1"})
 	if err != nil || added != nil || removed != nil {
 		t.Fatalf("no-op reload: added %v removed %v err %v", added, removed, err)
 	}
-	if r.Generation() != gen {
-		t.Fatal("no-op reload bumped the generation")
+	for i, key := range ringProbeKeys {
+		if got := r.Owners(key, 0); !reflect.DeepEqual(got, before[i]) {
+			t.Fatalf("no-op reload moved %q: %v -> %v", key, before[i], got)
+		}
 	}
 
 	if _, _, err := r.SetMembers(nil); err == nil {
@@ -295,5 +293,66 @@ func TestRingSetMembers(t *testing.T) {
 	}
 	if _, _, err := r.SetMembers([]string{"x", "x"}); err == nil {
 		t.Fatal("duplicate member list accepted")
+	}
+}
+
+// TestOwnersKeepMemberOrderAcrossGrowth pins the property peer fill
+// relies on after a membership change: growing the ring by k members
+// never reorders the existing ones in a key's owner walk, so each key's
+// old primary lands at rank <= k. A new primary that asks owner ranks
+// 1..3 therefore still reaches the old primary when up to 3 nodes join
+// in one change.
+func TestOwnersKeepMemberOrderAcrossGrowth(t *testing.T) {
+	base := threeNodes()
+	joiners := []string{"http://node-x:1", "http://node-y:1", "http://node-z:1"}
+	keys := make([]string, 2000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+	}
+	old, err := NewRing(base, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= len(joiners); k++ {
+		viaAdd, err := NewRing(base, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range joiners[:k] {
+			if !viaAdd.Add(n) {
+				t.Fatalf("k=%d: Add(%s) failed", k, n)
+			}
+		}
+		viaSet, err := NewRing(base, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := viaSet.SetMembers(append(append([]string(nil), base...), joiners[:k]...)); err != nil {
+			t.Fatal(err)
+		}
+		for name, grown := range map[string]*Ring{"Add": viaAdd, "SetMembers": viaSet} {
+			for _, key := range keys {
+				before := old.Owners(key, 0)
+				after := grown.Owners(key, 0)
+				var kept []string
+				primaryRank := -1
+				for rank, n := range after {
+					if n == before[0] {
+						primaryRank = rank
+					}
+					for _, b := range before {
+						if n == b {
+							kept = append(kept, n)
+						}
+					}
+				}
+				if !reflect.DeepEqual(kept, before) {
+					t.Fatalf("k=%d via %s, key %q: old members reordered: %v -> %v", k, name, key, before, after)
+				}
+				if primaryRank < 0 || primaryRank > k {
+					t.Fatalf("k=%d via %s, key %q: old primary %s at rank %d in %v", k, name, key, before[0], primaryRank, after)
+				}
+			}
+		}
 	}
 }

@@ -16,9 +16,8 @@ import (
 //	GET    /v1/runs/{id}       job status (+ result when done)
 //	DELETE /v1/runs/{id}       cancel a queued or running job
 //	GET    /v1/runs/{id}/events NDJSON progress stream
-//	GET    /v1/cache           cached content hashes on this node
 //	GET    /v1/cache/{key}     raw cached result (peer fill / warm-up)
-//	PUT    /v1/cache/{key}     store a result (replication / handoff)
+//	PUT    /v1/cache/{key}     store a result (replication)
 //	GET    /v1/stats           Stats as JSON (fleet aggregation)
 //	GET    /metrics            Prometheus-style text metrics
 //	GET    /healthz            liveness
@@ -28,7 +27,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/runs/{id}", s.handleGet)
 	mux.HandleFunc("DELETE /v1/runs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/cache", s.handleCacheKeys)
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	mux.HandleFunc("PUT /v1/cache/{key}", s.handleCachePut)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -173,11 +171,10 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCachePut stores a result pushed by a peer (replication after a
-// completed simulation) or by the coordinator (key handoff after a
-// membership change). The copy goes to disk only: this node serves it
-// only after a failover or handoff, and Store.Get promotes it into
-// memory on that first read, so the memory layer keeps to the results
-// this node serves. The key is content-addressed, so a write is
+// completed simulation). The copy goes to disk only: this node serves
+// it only after a failover or a membership change, and Store.Get
+// promotes it into memory on that first read, so the memory layer
+// keeps to the results this node serves. The key is content-addressed, so a write is
 // idempotent and a racing writer is harmless.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
@@ -200,11 +197,6 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.peerStored.Add(1)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-func (s *Server) handleCacheKeys(w http.ResponseWriter, r *http.Request) {
-	keys := s.cfg.Store.Keys()
-	WriteJSON(w, http.StatusOK, map[string]any{"count": len(keys), "keys": keys})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -192,7 +192,7 @@ type Stats struct {
 	PeerFillMisses uint64
 	PeerServed     uint64
 	// PeerStored counts entries written into the local store by peers
-	// or the coordinator via PUT /v1/cache/{key} (replication, handoff).
+	// via PUT /v1/cache/{key} (replication).
 	PeerStored uint64
 	// ReplicaPushed/ReplicaFailed count this node's own replica writes
 	// to other ring owners after completed simulations.

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -90,7 +89,7 @@ type Store struct {
 	bytes int64
 
 	// disk maps key -> on-disk envelope size, maintained incrementally
-	// after a one-time scan in New so Stats and Keys never walk the
+	// after a one-time scan in New so Stats never walks the
 	// tree on the hot path.
 	diskMu    sync.Mutex
 	disk      map[string]int64
@@ -149,28 +148,6 @@ func (s *Store) scanDisk() {
 			s.diskBytes += info.Size()
 		}
 	}
-}
-
-// Keys returns the content hashes cached in either layer, sorted, so
-// peers can enumerate this node's results for warm-up and fill.
-func (s *Store) Keys() []string {
-	seen := make(map[string]bool)
-	s.mu.Lock()
-	for key := range s.items {
-		seen[key] = true
-	}
-	s.mu.Unlock()
-	s.diskMu.Lock()
-	for key := range s.disk {
-		seen[key] = true
-	}
-	s.diskMu.Unlock()
-	keys := make([]string, 0, len(seen))
-	for key := range seen {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func (s *Store) diskTrack(key string, size int64) {

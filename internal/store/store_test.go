@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -198,31 +196,47 @@ func TestCorruptedDiskFileIsAMiss(t *testing.T) {
 	}
 }
 
+// TestKeysUnionMemoryAndDisk: a fresh store over an existing directory
+// serves every key the first one wrote, and its disk-scan gauges count
+// each file once, before and after reads promote entries into memory.
 func TestKeysUnionMemoryAndDisk(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := New(dir, 1<<20)
 	var want []string
+	payload := map[string]string{}
+	var fileBytes int64
 	for i := 0; i < 4; i++ {
 		key, _ := Key(fmt.Sprintf("entry-%d", i))
 		want = append(want, key)
-		if err := s.Put(key, []byte(`{"i":`+fmt.Sprint(i)+`}`)); err != nil {
+		payload[key] = `{"i":` + fmt.Sprint(i) + `}`
+		if err := s.Put(key, []byte(payload[key])); err != nil {
 			t.Fatal(err)
 		}
+		info, err := os.Stat(filepath.Join(dir, key[:2], key+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fileBytes += info.Size()
 	}
-	sort.Strings(want)
-	if got := s.Keys(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Keys() = %v, want %v", got, want)
+	if st := s.Stats(); st.DiskEntries != 4 || st.DiskBytes != fileBytes {
+		t.Fatalf("disk stats after puts: %+v, want 4 entries, %d bytes", st, fileBytes)
 	}
 
-	// A fresh store over the same dir sees the same keys (disk scan),
-	// and its disk occupancy gauges are non-zero and consistent.
+	// A fresh store over the same dir finds every entry by its disk scan
+	// and serves each one from disk.
 	s2, _ := New(dir, 1<<20)
-	if got := s2.Keys(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fresh store Keys() = %v, want %v", got, want)
+	if st := s2.Stats(); st.DiskEntries != 4 || st.DiskBytes != fileBytes {
+		t.Fatalf("disk stats after scan: %+v, want 4 entries, %d bytes", st, fileBytes)
+	}
+	for _, key := range want {
+		data, ok := s2.Get(key)
+		if !ok || string(data) != payload[key] {
+			t.Fatalf("fresh store Get(%s) = %q, %v; want %q", key[:12], data, ok, payload[key])
+		}
 	}
 	st := s2.Stats()
-	if st.DiskEntries != 4 || st.DiskBytes <= 0 {
-		t.Fatalf("disk stats after scan: %+v", st)
+	if st.DiskHits != 4 || st.DiskEntries != 4 || st.DiskBytes != fileBytes {
+		t.Fatalf("disk stats after promoting reads: %+v, want 4 disk hits, 4 entries, %d bytes", st, fileBytes)
 	}
 
 	// Overwriting a key must not double-count its disk footprint.
